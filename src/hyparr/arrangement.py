@@ -11,6 +11,7 @@ elimination in the test suite).
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError
@@ -57,6 +58,7 @@ class Arrangement:
         self._circuits: list[tuple[int, ...]] | None = None
         self._circuits_upto = -1
         self._lattice = None
+        self._pair_closures: dict[frozenset[int], frozenset[int]] | None = None
         self.cache: dict = {}  # scratch space for higher layers (os data etc.)
 
     @property
@@ -194,6 +196,20 @@ class Arrangement:
 
     # ------------------------------------------------------------ flats
 
+    def pair_closures(self) -> dict[frozenset[int], frozenset[int]]:
+        """Rank-2 closure of each pair of hyperplanes (the collinearity table)."""
+        if self._pair_closures is None:
+            out: dict[frozenset[int], frozenset[int]] = {}
+            for i, j in itertools.combinations(range(self.n), 2):
+                pair = frozenset((i, j))
+                members = set(pair)
+                for h in range(self.n):
+                    if h not in pair and self._rank(frozenset((i, j, h))) == 2:
+                        members.add(h)
+                out[pair] = frozenset(members)
+            self._pair_closures = out
+        return self._pair_closures
+
     def intersection_lattice(self) -> "IntersectionLattice":
         if self._lattice is None:
             self._lattice = IntersectionLattice(self)
@@ -237,24 +253,38 @@ def build(
 
 
 class IntersectionLattice:
-    """All flats of the arrangement with ranks, Mobius values, join and meet.
+    """All flats of the arrangement with ranks, Mobius values and joins.
 
     Flats are frozensets of hyperplane indices; the order relation is
-    containment.  Built level by level from closures, so every closure of a
-    subset appears exactly once.
+    containment.  Built level by level: the covers of a flat F are the
+    closures cl(F + h), computed once each by skipping every h that lies in
+    a cover already found for F.
+
+    Supersolvability (a maximal chain of modular flats) is decided by the
+    modular-coatom criterion instead of by the definition: a coatom Y of a
+    geometric lattice [0, X] is modular exactly when, for every two atoms
+    a, b in X but not in Y, the line a v b meets Y (Bjorner-Edelman-Ziegler,
+    "Hyperplane arrangements with a lattice of regions", 1990).  A modular
+    element of [0, X] with X modular is modular in the whole lattice
+    (Stanley, "Modular elements of geometric lattices", 1971), so a chain
+    exists iff some modular coatom has one below it.  ``is_modular`` keeps
+    the definition (rank additivity against every flat) as a test oracle.
     """
 
     def __init__(self, arr: Arrangement):
         self.arr = arr
         n = arr.n
-        full = frozenset(range(n))
         levels: list[set[frozenset[int]]] = [{self.closure(frozenset())}]
         while True:
             nxt: set[frozenset[int]] = set()
             for flat in levels[-1]:
-                rest = full - flat
-                for h in rest:
-                    nxt.add(self.closure(flat | {h}))
+                # cl(F + h') is the same cover G for every h' in G - F
+                covered = set(flat)
+                for h in range(n):
+                    if h not in covered:
+                        cover = self.closure(flat | {h})
+                        nxt.add(cover)
+                        covered |= cover
             if not nxt:
                 break
             levels.append(nxt)
@@ -264,8 +294,6 @@ class IntersectionLattice:
             for flat in sorted(level, key=sorted):
                 self.flats.append(flat)
                 self.rank_of[flat] = r
-        self._flat_set = set(self.flats)
-        self.mobius = self._mobius()
         self._join_cache: dict[tuple[frozenset, frozenset], frozenset] = {}
 
     def closure(self, s: frozenset[int]) -> frozenset[int]:
@@ -277,7 +305,8 @@ class IntersectionLattice:
                 out.add(h)
         return frozenset(out)
 
-    def _mobius(self) -> dict[frozenset[int], int]:
+    @cached_property
+    def mobius(self) -> dict[frozenset[int], int]:
         mob: dict[frozenset[int], int] = {}
         for flat in self.flats:  # rank-ascending order
             below = sum(mob[g] for g in mob if g < flat)
@@ -292,12 +321,6 @@ class IntersectionLattice:
             self._join_cache[key] = hit
         return hit
 
-    def meet(self, x: frozenset[int], y: frozenset[int]) -> frozenset[int]:
-        m = x & y
-        if m not in self._flat_set:
-            raise InputError(f"intersection {sorted(m)} is not a flat")
-        return m
-
     def is_modular(self, x: frozenset[int]) -> bool:
         rx = self.rank_of[x]
         for y in self.flats:
@@ -307,20 +330,44 @@ class IntersectionLattice:
         return True
 
     def has_modular_chain(self) -> bool:
-        """Maximal chain of modular flats, one per rank: the supersolvable test."""
-        top_rank = self.arr.rank()
-        modular = {f for f in self.flats if self.is_modular(f)}
-        by_rank: dict[int, list[frozenset[int]]] = {}
-        for f in modular:
-            by_rank.setdefault(self.rank_of[f], []).append(f)
+        """Maximal chain of modular flats, one per rank: the supersolvable test.
 
-        def extend(cur: frozenset[int], r: int) -> bool:
-            if r == top_rank:
+        Searches down from the top flat through modular coatoms, with flats
+        and rank-2 closures as int bitmasks; a flat whose interval has no
+        chain is recorded and never searched again.
+        """
+        n = self.arr.n
+        line = [[0] * n for _ in range(n)]  # line[a][b]: mask of cl{a, b}
+        for pair, members in self.arr.pair_closures().items():
+            a, b = pair
+            line[a][b] = line[b][a] = _mask(members)
+        by_rank: list[list[int]] = [[] for _ in range(self.rank_of[self.flats[-1]] + 1)]
+        for flat in self.flats:
+            by_rank[self.rank_of[flat]].append(_mask(flat))
+        dead: set[int] = set()
+
+        def modular_coatom(y: int, x: int) -> bool:
+            rest = [h for h in range(n) if (x & ~y) >> h & 1]
+            return all(
+                line[a][b] & y for i, a in enumerate(rest) for b in rest[i + 1 :]
+            )
+
+        def chain_below(x: int, r: int) -> bool:
+            if r == 0:
                 return True
-            for cand in by_rank.get(r + 1, ()):
-                if cur < cand and extend(cand, r + 1):
+            if x in dead:
+                return False
+            for y in by_rank[r - 1]:
+                if y & ~x == 0 and modular_coatom(y, x) and chain_below(y, r - 1):
                     return True
+            dead.add(x)
             return False
 
-        bottom = self.flats[0]
-        return bottom in modular and extend(bottom, 0)
+        return chain_below(by_rank[-1][0], len(by_rank) - 1)
+
+
+def _mask(indices: Iterable[int]) -> int:
+    m = 0
+    for i in indices:
+        m |= 1 << i
+    return m

@@ -142,7 +142,6 @@ def require_qualifying(a: Arrangement) -> Classification:
     cls = a.cache.get("classification")
     if cls is None:
         cls = classify(a)
-        a.cache["classification"] = cls
     if not cls.hypersolvable:
         raise PreconditionError(
             "arrangement is not hypersolvable; the homotopy pipeline does not apply"

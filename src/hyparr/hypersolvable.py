@@ -54,23 +54,6 @@ class Classification:
     p_raw: bool  # p reported as the raw sup although not hypersolvable
 
 
-def _pair_closures(a: Arrangement) -> dict[frozenset[int], frozenset[int]]:
-    """Rank-2 closure of each pair of hyperplanes (the collinearity table)."""
-    hit = a.cache.get("pair_closures")
-    if hit is not None:
-        return hit
-    out: dict[frozenset[int], frozenset[int]] = {}
-    for i, j in itertools.combinations(range(a.n), 2):
-        pair = frozenset((i, j))
-        members = set(pair)
-        for h in range(a.n):
-            if h not in pair and a._rank(frozenset((i, j, h))) == 2:
-                members.add(h)
-        out[pair] = frozenset(members)
-    a.cache["pair_closures"] = out
-    return out
-
-
 def solvable_extension_check(
     a: Arrangement,
     b,
@@ -85,7 +68,7 @@ def solvable_extension_check(
     bset = frozenset(b)
     if not bset or not bset < whole:
         raise InputError("b must be a nonempty proper subset of the ambient set")
-    cl2 = _pair_closures(a)
+    cl2 = a.pair_closures()
     rest = sorted(whole - bset)
 
     for d in rest:
@@ -117,7 +100,7 @@ def solvable_extension_check(
 
 def _extension_candidates(a: Arrangement, s: frozenset[int]) -> list[tuple[int, ...]]:
     """All valid extension sets D for state s, sorted by size then lex."""
-    cl2 = _pair_closures(a)
+    cl2 = a.pair_closures()
     n = a.n
     addable = []
     for d in range(n):
@@ -186,7 +169,7 @@ def composition_series(a: Arrangement) -> Optional[CompositionSeries]:
     else:
         dead: set[frozenset[int]] = set()
         full = frozenset(range(n))
-        cl2 = _pair_closures(a)
+        cl2 = a.pair_closures()
 
         def closed_in_full(s: frozenset[int]) -> bool:
             # closedness is transitive along solvable extensions, so any
@@ -283,7 +266,13 @@ def is_supersolvable(a: Arrangement) -> bool:
 
 
 def classify(a: Arrangement) -> Classification:
-    """Full classification with every cross-check the type invariants demand."""
+    """Full classification with every cross-check the type invariants demand.
+
+    Computed once per arrangement; repeat calls return the stored result.
+    """
+    hit = a.cache.get("classification")
+    if hit is not None:
+        return hit
     series = composition_series(a)
     hypersolvable = series is not None
     supersolvable = is_supersolvable(a)
@@ -311,7 +300,7 @@ def classify(a: Arrangement) -> Classification:
             raise InternalInvariantViolation(
                 f"hypersolvable non-supersolvable needs 2 <= p < r, got p={p}, r={r}"
             )
-    return Classification(
+    cls = Classification(
         hypersolvable=hypersolvable,
         supersolvable=supersolvable,
         series=series,
@@ -321,3 +310,5 @@ def classify(a: Arrangement) -> Classification:
         two_generic=two_generic,
         p_raw=not hypersolvable,
     )
+    a.cache["classification"] = cls
+    return cls

@@ -2,15 +2,20 @@
 
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
 from hyparr.arrangement import build, from_graph
+from hyparr.cli import _random_2generic_instances, parse_input
 from hyparr.errors import InputError
-from hyparr.graphs import chromatic_polynomial, make_graph
+from hyparr.graphs import chromatic_polynomial, connected_graph_reps, make_graph
 from hyparr.intlinalg import int_rank
 
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
 K3 = make_graph(3, [(0, 1), (0, 2), (1, 2)])
+K4 = make_graph(4, list(itertools.combinations(range(4), 2)))
 THETA = make_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)])
 
 # xyzt(x+y+z+t)(x-y-z+t) = 0; H = index 4, P = index 5
@@ -316,3 +321,108 @@ def test_modular_chain_boolean_and_k3():
     assert boolean(3).intersection_lattice().has_modular_chain()
     assert from_graph(K3).intersection_lattice().has_modular_chain()
     assert not from_graph(THETA).intersection_lattice().has_modular_chain()
+
+
+# ------------------------------------------- modular-coatom oracle vs definition
+
+
+def coxeter_b(d):
+    normals = [[int(k == i) for k in range(d)] for i in range(d)]
+    for i, j in itertools.combinations(range(d), 2):
+        for s in (1, -1):
+            normals.append([1 if k == i else s if k == j else 0 for k in range(d)])
+    return build(d, normals)
+
+
+def modular_chain_by_definition(lat):
+    """A maximal chain of flats that pass ``is_modular``, searched upwards."""
+    modular = {}
+
+    def is_mod(f):
+        if f not in modular:
+            modular[f] = lat.is_modular(f)
+        return modular[f]
+
+    top = lat.rank_of[lat.flats[-1]]
+    by_rank = {}
+    for f in lat.flats:
+        by_rank.setdefault(lat.rank_of[f], []).append(f)
+
+    def extend(cur, r):
+        if r == top:
+            return True
+        return any(cur < g and is_mod(g) and extend(g, r + 1) for g in by_rank[r + 1])
+
+    return is_mod(lat.flats[0]) and extend(lat.flats[0], 0)
+
+
+def shuffled(arr, rng):
+    normals = list(arr.normals)
+    rng.shuffle(normals)
+    return build(arr.ambient_dim, normals)
+
+
+def modular_chain_inputs():
+    yield from (from_graph(g) for g in connected_graph_reps(6))
+    yield from (parse_input(str(p)) for p in sorted(FIXTURES.iterdir()))
+    yield coxeter_b(3)
+    yield coxeter_b(4)
+    for _key, dim, normals in _random_2generic_instances(7, 8, 12):
+        yield build(dim, normals)
+    # small entries give many collinear triples, unlike the 2-generic family
+    rng = random.Random(2718)
+    for _ in range(30):
+        dim = rng.choice((3, 4))
+        vecs = {tuple(rng.randint(-1, 1) for _ in range(dim)) for _ in range(rng.randint(4, 8))}
+        normals = []
+        for v in sorted(vecs):
+            if any(v) and tuple(-x for x in v) not in normals:
+                normals.append(v)
+        yield build(dim, normals)
+
+
+def test_modular_chain_matches_definition_and_order():
+    rng = random.Random(1990)
+    seen = {True: 0, False: 0}
+    for arr in modular_chain_inputs():
+        expected = modular_chain_by_definition(arr.intersection_lattice())
+        assert arr.intersection_lattice().has_modular_chain() == expected, arr.normals
+        assert shuffled(arr, rng).intersection_lattice().has_modular_chain() == expected
+        seen[expected] += 1
+    assert min(seen.values()) >= 20
+
+
+def brute_force_flats(arr):
+    """Closure of every subset, with ranks from fresh eliminations."""
+    rank = {}
+
+    def r(s):
+        if s not in rank:
+            rank[s] = arr.subset_rank(s)
+        return rank[s]
+
+    flats = set()
+    for bits in range(1 << arr.n):
+        s = frozenset(i for i in range(arr.n) if bits >> i & 1)
+        flats.add(frozenset(h for h in range(arr.n) if r(s | {h}) == r(s)))
+    return {f: r(f) for f in flats}
+
+
+def test_lattice_matches_closure_of_every_subset():
+    d4 = parse_input(str(FIXTURES / "d4.arr"))
+    for arr in [boolean(3), from_graph(K4), d4, build(4, TWOGEN6)]:
+        lat = arr.intersection_lattice()
+        assert lat.rank_of == brute_force_flats(arr)
+        assert lat.flats == sorted(lat.rank_of, key=lambda f: (lat.rank_of[f], sorted(f)))
+
+
+def test_mobius_is_lazy_and_keeps_identities():
+    for arr in [from_graph(K4), from_graph(THETA), coxeter_b(3)]:
+        lat = arr.intersection_lattice()
+        assert "mobius" not in vars(lat)
+        for f in lat.flats:
+            assert lat.mobius[f] * (-1) ** lat.rank_of[f] > 0
+        assert "mobius" in vars(lat)
+    # chromatic polynomial k(k-1)(k-2)(k-3) of K4; B3 has exponents 1, 3, 5
+    assert from_graph(K4).betti_mobius() == [1, 6, 11, 6]
+    assert coxeter_b(3).betti_mobius() == [1, 9, 23, 15]

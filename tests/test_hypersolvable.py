@@ -158,11 +158,13 @@ def test_p_d4_raw():
 
 
 def test_classify_theta():
-    cls = classify(from_graph(THETA))
+    arr = from_graph(THETA)
+    cls = classify(arr)
     assert cls.hypersolvable and not cls.supersolvable
     assert cls.p == 2 and cls.r == 5
     assert cls.c == 4 and cls.two_generic is True
     assert not cls.p_raw
+    assert classify(arr) is cls  # classified once per arrangement
 
 
 def test_classify_d4():
