@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from random import Random
 
@@ -92,8 +91,7 @@ def parse_input(path: str, fmt: str | None = None) -> Arrangement:
         except InputError as exc:
             raise _reindex_error(exc, path, linenos) from None
 
-    edges = []
-    linenos = []
+    edges = set()
     for lineno, line in rows[1:]:
         toks = line.split()
         if len(toks) != 2:
@@ -110,8 +108,7 @@ def parse_input(path: str, fmt: str | None = None) -> Arrangement:
             )
         if (u - 1, v - 1) in edges:
             raise InputError(f"{path}:{lineno}: multi-edge {u} {v}")
-        edges.append((u - 1, v - 1))
-        linenos.append(lineno)
+        edges.add((u - 1, v - 1))
     return from_graph(make_graph(size, edges))
 
 
@@ -304,6 +301,9 @@ def cmd_search(args) -> int:
     if jobs == 1:
         results = map(worker, payloads)
     else:
+        # imported only here: it loads multiprocessing, which no other start needs
+        from concurrent.futures import ProcessPoolExecutor
+
         pool = ProcessPoolExecutor(max_workers=jobs)
         results = pool.map(worker, payloads, chunksize=4)
 

@@ -1,10 +1,13 @@
 """Finite simple graphs: canonical forms, chromatic polynomials, chordality.
 
 A graph here is an immutable vertex count plus a sorted tuple of edges
-(u, v) with u < v.  Canonical forms are minimal adjacency bit-strings over
-all vertex permutations, computed by prefix-pruned backtracking; they are
-the deduplication key for isomorphism classes and the memoization key for
-deletion-contraction.
+(u, v) with u < v.  The canonical form of a graph is its minimal adjacency
+bit-string over all vertex permutations, an exact value that keys the
+graphic search output.  It is found level by level over int bitmasks:
+only the prefixes that tie for the minimal string so far are extended,
+each only by the vertices that give the minimal next segment, and twin
+vertices are expanded once.  The form is the deduplication key for
+isomorphism classes and the memoization key for deletion-contraction.
 """
 
 from __future__ import annotations
@@ -52,61 +55,74 @@ def make_graph(vertex_count: int, edges) -> Graph:
     return Graph(vertex_count, tuple(norm))
 
 
-def _pair_index(i: int, j: int) -> int:
-    # pairs ordered (0,1),(0,2),(1,2),(0,3),...: placing vertex j fixes
-    # exactly the next j bits, which is what the prefix pruning needs
-    return j * (j - 1) // 2 + i
-
-
 def canonical_form(g: Graph) -> int:
     """Minimal adjacency bit-string over all vertex permutations.
 
-    Returned packed as an integer with the pair (0,1) in the most
-    significant position, so numeric order equals lexicographic order on
-    the bit-strings.
+    The bit-string of a vertex order lists the pairs (0,1),(0,2),(1,2),
+    (0,3),... and is returned packed as an integer with the pair (0,1) in
+    the most significant position, so numeric order equals lexicographic
+    order on the bit-strings.
+
+    Placing the vertex at position j appends a segment of exactly j bits,
+    its adjacency to the vertices at positions 0..j-1, so the minimal
+    string is the minimal first segment, then the minimal second segment
+    among the orders that reach it, and so on.  The search keeps every
+    prefix that ties for the minimum and, per level, only the children
+    whose segment is minimal: starting from the unplaced vertices, each
+    placed vertex in turn keeps the candidates not adjacent to it when
+    there are any (segment bit 0) and all of them otherwise (bit 1).
+    Among unplaced twins (N(u) minus v equal to N(v) minus u) only the
+    lowest is expanded, because swapping twins is an automorphism fixing
+    every other vertex; this keeps empty, complete and multipartite
+    graphs from branching factorially.
     """
     n = g.vertex_count
-    adj = [[False] * n for _ in range(n)]
+    nbrs = [0] * n
     for u, v in g.edges:
-        adj[u][v] = adj[v][u] = True
-    total = n * (n - 1) // 2
-    best: list[int] | None = None
-    perm = [0] * n
-    used = [False] * n
-
-    def rec(j: int, bits: list[int], tight: bool) -> None:
-        # tight: bits equalled best's prefix when last compared; pruning is
-        # only ever applied under it, and the leaf does a full comparison,
-        # so a best replaced mid-search cannot cause a wrong result.
-        nonlocal best
-        if j == n:
-            if best is None or bits < best:
-                best = bits[:]
-            return
-        seg_start = j * (j - 1) // 2
-        for v in range(n):
-            if used[v]:
-                continue
-            seg = [1 if adj[perm[i]][v] else 0 for i in range(j)]
-            child_tight = tight
-            if best is not None and tight:
-                ref = best[seg_start : seg_start + j]
-                if seg > ref:
-                    continue
-                if seg < ref:
-                    child_tight = False
-            used[v] = True
-            perm[j] = v
-            rec(j + 1, bits + seg, child_tight)
-            used[v] = False
-
-    rec(0, [], True)
-    assert best is not None
-    out = 0
-    for idx, b in enumerate(best):
-        if b:
-            out |= 1 << (total - 1 - idx)
-    return out
+        nbrs[u] |= 1 << v
+        nbrs[v] |= 1 << u
+    # twinhood is an equivalence relation; key each class by its lowest vertex
+    classes: dict[int, int] = {}
+    for v in range(n):
+        for u in range(v + 1):
+            if nbrs[u] & ~(1 << v) == nbrs[v] & ~(1 << u):
+                classes[u] = classes.get(u, 0) | 1 << v
+                break
+    twin_classes = [c for c in classes.values() if c & (c - 1)]
+    non_nbrs = [~m for m in nbrs]
+    form = 0
+    # a prefix: the non-neighbour masks of its placed vertices, in order,
+    # and the mask of the vertices not yet placed
+    frontier: list[tuple[tuple[int, ...], int]] = [((), (1 << n) - 1)]
+    for j in range(n):
+        best = -1
+        keep = []
+        for placed, unplaced in frontier:
+            cand = unplaced
+            for c in twin_classes:
+                m = c & unplaced
+                cand &= ~(m & (m - 1))
+            seg = 0
+            for non in placed:
+                t = cand & non
+                if t:
+                    cand = t
+                    seg <<= 1
+                else:
+                    seg = seg << 1 | 1
+            if best < 0 or seg < best:
+                best = seg
+                keep = [(placed, unplaced, cand)]
+            elif seg == best:
+                keep.append((placed, unplaced, cand))
+        form = form << j | best
+        frontier = []
+        for placed, unplaced, cand in keep:
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                frontier.append((placed + (non_nbrs[low.bit_length() - 1],), unplaced ^ low))
+    return form
 
 
 def is_connected(g: Graph) -> bool:

@@ -33,7 +33,6 @@ from .intlinalg import (
     SparseHermite,
     prime_factors,
     quotient_invariants,
-    snf_divisors,
 )
 
 
@@ -410,14 +409,8 @@ def chordless_span_check(a: Arrangement, q: int, field: FieldSpec) -> SpanCheckR
     for circ in chordless:
         row = delta(monomial(circ)).sparse_coordinates(a.n)
         combined.insert(row)
-
-    def rank_over(h: SparseHermite, f: FieldSpec) -> int:
-        if f.characteristic == 0 or h.all_unit_pivots():
-            return h.rank
-        p = f.characteristic
-        return h.rank - sum(1 for d in snf_divisors(h.rows_sorted()) if d % p == 0)
-
-    span_dim = rank_over(combined, field) - dec.rank_over(field)
+    spanned = IdealLattice(dec.kind, q, dec.ncols, combined)
+    span_dim = spanned.rank_over(field) - dec.rank_over(field)
     target_dim = full.rank_over(field) - dec.rank_over(field)
     onto = span_dim == target_dim
     return SpanCheckReport(

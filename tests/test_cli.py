@@ -70,6 +70,12 @@ def test_parse_wrong_width(tmp_path):
         parse_input(path)
 
 
+def test_parse_graph_multi_edge_names_line(tmp_path):
+    path = write(tmp_path, "m.graph", "graph 3\n1 2\n2 3\n# again\n1 2\n")
+    with pytest.raises(InputError, match="m.graph:5: multi-edge 1 2"):
+        parse_input(path)
+
+
 def test_parse_format_override_mismatch(tmp_path):
     path = write(tmp_path, "g.graph", "graph 3\n1 2\n")
     with pytest.raises(InputError, match="--format"):
@@ -260,6 +266,15 @@ def test_search_prefix_consistent(tmp_path):
     assert main(["search", "--family", "random2g", "--max-size", "8",
                  "--seed", "3", "--count", "6", "--output", str(r8)]) == 0
     assert r8.read_text().startswith(r4.read_text())
+
+
+def test_search_jobs_same_bytes(tmp_path):
+    serial = tmp_path / "j1.jsonl"
+    pooled = tmp_path / "j2.jsonl"
+    for out, jobs in ((serial, "1"), (pooled, "2")):
+        assert main(["search", "--family", "graphic", "--max-size", "5",
+                     "--jobs", jobs, "--output", str(out)]) == 0
+    assert serial.read_bytes() and serial.read_bytes() == pooled.read_bytes()
 
 
 def test_search_bounds(capsys, tmp_path):

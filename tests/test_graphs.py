@@ -1,5 +1,6 @@
 """Graphs: canonical forms, enumeration, chromatic polynomials, chordality."""
 
+import hashlib
 import itertools
 import random
 
@@ -94,33 +95,92 @@ def test_canonical_form_invariant_under_relabeling():
         assert canonical_form(relabeled) == key
 
 
-def test_canonical_form_matches_full_scan():
-    # oracle: min over all permutations, bit order (0,1),(0,2),(1,2),(0,4)...
-    def oracle(g):
-        n = g.vertex_count
-        adj = set(g.edges)
-        best = None
-        for perm in itertools.permutations(range(n)):
-            bits = []
-            for j in range(n):
-                for i in range(j):
-                    e = (perm[i], perm[j]) if perm[i] < perm[j] else (perm[j], perm[i])
-                    bits.append(1 if e in adj else 0)
-            if best is None or bits < best:
-                best = bits
-        total = n * (n - 1) // 2
-        out = 0
-        for idx, b in enumerate(best):
-            if b:
-                out |= 1 << (total - 1 - idx)
-        return out
+def lexmin_oracle(g):
+    """Minimal adjacency bit-string over all permutations, by full scan.
 
+    Bit order (0,1),(0,2),(1,2),(0,3),...; packed with (0,1) most significant.
+    """
+    n = g.vertex_count
+    adj = set(g.edges)
+    best = None
+    for perm in itertools.permutations(range(n)):
+        bits = []
+        for j in range(n):
+            for i in range(j):
+                e = (perm[i], perm[j]) if perm[i] < perm[j] else (perm[j], perm[i])
+                bits.append(1 if e in adj else 0)
+        if best is None or bits < best:
+            best = bits
+    total = n * (n - 1) // 2
+    out = 0
+    for idx, b in enumerate(best):
+        if b:
+            out |= 1 << (total - 1 - idx)
+    return out
+
+
+def test_canonical_form_matches_full_scan():
     rng = random.Random(17)
     for _ in range(30):
         n = rng.randint(1, 6)
         edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5]
         g = make_graph(n, edges)
-        assert canonical_form(g) == oracle(g)
+        assert canonical_form(g) == lexmin_oracle(g)
+
+
+def test_canonical_form_matches_full_scan_all_small_labeled():
+    for n in range(6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            g = Graph(n, tuple(p for i, p in enumerate(pairs) if mask >> i & 1))
+            assert canonical_form(g) == lexmin_oracle(g), g
+
+
+def complement(g):
+    edges = set(g.edges)
+    n = g.vertex_count
+    return make_graph(n, [e for e in itertools.combinations(range(n), 2) if e not in edges])
+
+
+def disjoint_union(*gs):
+    edges, offset = [], 0
+    for g in gs:
+        edges.extend((u + offset, v + offset) for u, v in g.edges)
+        offset += g.vertex_count
+    return make_graph(offset, edges)
+
+
+def complete_multipartite(*sizes):
+    part = [i for i, s in enumerate(sizes) for _ in range(s)]
+    n = len(part)
+    return make_graph(n, [(u, v) for u, v in itertools.combinations(range(n), 2)
+                          if part[u] != part[v]])
+
+
+def test_canonical_form_symmetric_families():
+    # twin-rich and vertex-transitive graphs, where most orders tie
+    family = [make_graph(n, []) for n in range(8)]
+    family += [k_n(n) for n in range(2, 8)]
+    family += [
+        complete_multipartite(1, 6),  # star
+        complete_multipartite(3, 3),
+        complete_multipartite(2, 2, 2),
+        complete_multipartite(1, 2, 4),
+        cycle(7),
+        complement(cycle(7)),
+        disjoint_union(k_n(2), k_n(2), k_n(2)),
+        disjoint_union(k_n(3), k_n(3)),
+        disjoint_union(k_n(2), k_n(2), k_n(3)),
+        disjoint_union(k_n(2), k_n(3), make_graph(2, [])),
+    ]
+    rng = random.Random(23)
+    for g in family:
+        expect = lexmin_oracle(g)
+        assert canonical_form(g) == expect, g
+        perm = list(range(g.vertex_count))
+        rng.shuffle(perm)
+        relabeled = make_graph(g.vertex_count, [(perm[u], perm[v]) for u, v in g.edges])
+        assert canonical_form(relabeled) == expect, relabeled
 
 
 def test_connected_graph_reps_counts():
@@ -134,6 +194,21 @@ def test_connected_graph_reps_counts():
     keys = [(g.vertex_count, canonical_form(g)) for g in reps]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
+    # the forms key the graphic search output, so their values are frozen:
+    # sha256 of the newline-joined hex forms per vertex count
+    digests = [
+        hashlib.sha256("\n".join(f"{k:x}" for m, k in keys if m == n).encode()).hexdigest()
+        for n in range(1, 8)
+    ]
+    assert digests == [
+        "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9",
+        "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b",
+        "dc1f6ddf5c232a2b75641bbbfb1a52f80fd3f893ec3bf7285a64d2cb5b1e8900",
+        "d212afb8af7ae5a6cbc43385301a294cd1f048366d230edff3f130fb2ac56c24",
+        "8dbdafbcb94ee05ca258d599dea709a9cda40f2ca6e3fc71d6e0c4fd3b431432",
+        "9b6034ca3d23cc1942d5190e78c446f5e7e1181b778b3ed56103106d29d56893",
+        "d9e080d4710e124b55f7c46dab018bbdc54a708356c04c9845c9cb68d87804aa",
+    ]
 
 
 def test_connected_graph_reps_against_labeled_scan():
