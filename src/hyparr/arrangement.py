@@ -55,7 +55,8 @@ class Arrangement:
         self.labels = tuple(str(s) for s in labels)
         self.source_graph = source_graph
         self._rank_cache: dict[frozenset[int], int] = {}
-        self._circuits: list[tuple[int, ...]] | None = None
+        self._circuits: list[tuple[int, ...]] = []
+        self._circuit_masks: list[int] = []
         self._circuits_upto = -1
         self._lattice = None
         self._pair_closures: dict[frozenset[int], frozenset[int]] | None = None
@@ -137,22 +138,21 @@ class Arrangement:
         if max_size > self.n:
             raise InputError(f"max_size {max_size} exceeds {self.n} hyperplanes")
         cap = min(max_size, self.rank() + 1)
-        if self._circuits is None or self._circuits_upto < cap:
-            found: list[tuple[int, ...]] = []
-            masks: list[int] = []
-            for size in range(3, cap + 1):
-                for combo in itertools.combinations(range(self.n), size):
-                    m = 0
-                    for i in combo:
-                        m |= 1 << i
-                    if any(cm & m == cm for cm in masks):
-                        continue
-                    if self.is_dependent(combo):
-                        found.append(combo)
-                        masks.append(m)
-            self._circuits = found
-            self._circuits_upto = cap
-        return [c for c in self._circuits if len(c) <= max_size]
+        found = self._circuits
+        masks = self._circuit_masks
+        # sizes up to _circuits_upto are complete; extend from there
+        for size in range(max(3, self._circuits_upto + 1), cap + 1):
+            for combo in itertools.combinations(range(self.n), size):
+                m = 0
+                for i in combo:
+                    m |= 1 << i
+                if any(cm & m == cm for cm in masks):
+                    continue
+                if self.is_dependent(combo):
+                    found.append(combo)
+                    masks.append(m)
+        self._circuits_upto = max(self._circuits_upto, cap)
+        return [c for c in found if len(c) <= max_size]
 
     def has_chord(self, circuit: Sequence[int]) -> bool:
         """True when some c outside splits the set into two dependent halves."""

@@ -16,7 +16,7 @@ from random import Random
 
 from .arrangement import Arrangement, build, from_graph
 from .errors import InputError, InternalInvariantViolation, PreconditionError
-from .graphs import Graph, canonical_form, connected_graph_reps, make_graph
+from .graphs import Graph, _keyed_connected_graph_reps, make_graph
 from .homotopy import gr1_invariants, mu_presentation, torsion_and_rank_report
 from .hypersolvable import classify
 from .intlinalg import FieldSpec
@@ -281,9 +281,10 @@ def cmd_search(args) -> int:
             raise InputError(
                 f"graphic search is bounded at {GRAPHIC_VERTEX_BOUND} vertices"
             )
-        reps = connected_graph_reps(args.max_size)
         payloads = [
-            (g.vertex_count, canonical_form(g), g.edges) for g in reps if g.edges
+            (g.vertex_count, form, g.edges)
+            for form, g in _keyed_connected_graph_reps(args.max_size)
+            if g.edges
         ]
         worker = _graphic_worker
     else:

@@ -211,6 +211,13 @@ def connected_graph_reps(max_vertices: int, min_vertices: int = 1) -> list[Graph
     nonempty neighbor set (delete any non-cut vertex to see this).
     Deterministic order: by vertex count, then canonical form.
     """
+    return [g for _, g in _keyed_connected_graph_reps(max_vertices, min_vertices)]
+
+
+def _keyed_connected_graph_reps(
+    max_vertices: int, min_vertices: int = 1
+) -> list[tuple[int, Graph]]:
+    """``connected_graph_reps`` with each graph's canonical form beside it."""
     if max_vertices < 1:
         return []
     levels: list[list[tuple[int, Graph]]] = [[(0, Graph(1, ()))]]
@@ -227,7 +234,7 @@ def connected_graph_reps(max_vertices: int, min_vertices: int = 1) -> list[Graph
                 if key not in seen:
                     seen[key] = cand
         levels.append(sorted(seen.items()))
-    out: list[Graph] = []
+    out: list[tuple[int, Graph]] = []
     for n in range(min_vertices, max_vertices + 1):
-        out.extend(g for _, g in levels[n - 1])
+        out.extend(levels[n - 1])
     return out

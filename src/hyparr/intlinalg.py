@@ -31,6 +31,12 @@ from .errors import InputError, InternalInvariantViolation
 Row = dict[int, int]
 
 
+def _as_row(row: Row | Sequence[int]) -> Row:
+    """A fresh sparse copy of a dict or dense row, with zeros dropped."""
+    items = row.items() if isinstance(row, dict) else enumerate(row)
+    return {k: int(v) for k, v in items if v}
+
+
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
     """Return ``(g, x, y)`` with ``g = gcd(a, b) >= 0`` and ``g == x*a + y*b``."""
     old_r, r = a, b
@@ -357,10 +363,7 @@ def snf_divisors(rows: Iterable[Row | Sequence[int]]) -> list[int]:
     col_occ: dict[int, set[int]] = {}
     rid = 0
     for row in rows:
-        if isinstance(row, dict):
-            r = {k: int(v) for k, v in row.items() if v}
-        else:
-            r = {k: int(v) for k, v in enumerate(row) if v}
+        r = _as_row(row)
         if not r:
             continue
         sparse[rid] = r
@@ -455,10 +458,7 @@ class SparseHermite:
 
     def insert(self, row: Row | Sequence[int]) -> bool:
         """Add a generator; returns True when the rank grew."""
-        if isinstance(row, dict):
-            r = {k: int(v) for k, v in row.items() if v}
-        else:
-            r = {k: int(v) for k, v in enumerate(row) if v}
+        r = _as_row(row)
         while r:
             j = min(r)
             piv = self.pivots.get(j)
@@ -484,10 +484,7 @@ class SparseHermite:
 
         The residual is empty iff ``row`` lies in the lattice.
         """
-        if isinstance(row, dict):
-            r = {k: int(v) for k, v in row.items() if v}
-        else:
-            r = {k: int(v) for k, v in enumerate(row) if v}
+        r = _as_row(row)
         stuck: Row = {}
         while r:
             j = min(r)
@@ -555,10 +552,7 @@ class SparseHermite:
         Raises InternalInvariantViolation when the vector is not in the
         lattice; callers use this only where membership is a theorem.
         """
-        if isinstance(row, dict):
-            r = {k: int(v) for k, v in row.items() if v}
-        else:
-            r = {k: int(v) for k, v in enumerate(row) if v}
+        r = _as_row(row)
         coords: dict[int, int] = {}
         while r:
             j = min(r)

@@ -9,12 +9,23 @@ integer lattices degree by degree:
 
 The degree-q piece of each is spanned by monomials e_T (T running over the
 appropriate dependent sets, since e_c ^ delta(e_C) = +-e_C for c in C)
-together with e_S ^ delta(e_C) for S disjoint from C.  Monomial generators
-enter the Hermite form as unit rows, which keeps the big matrices cheap;
-in degrees above the rank the lattice saturates immediately.
+together with e_S ^ delta(e_C) for S disjoint from C.  Each lattice is kept
+as an echelon basis whose pivot is the smallest column of its row:
 
-Every rank, Hilbert coefficient, torsion check and membership test reduces
-to the cached per-degree Hermite bases.
+* FULL is written down directly, one unit-pivot row per q-set containing a
+  broken circuit (the broken circuits lead the Groebner basis {delta(e_C)}),
+  with no elimination; the row count is checked against the Whitney
+  numbers of the intersection lattice.
+* DECOMPOSABLE keeps every FULL row except the delta(e_C) with |C| = q+1,
+  and eliminates only on the coordinates of those rows.
+* QUADRATIC is the Hermite form of its generators.  Monomial generators
+  enter as unit rows, which keeps the big matrices cheap.
+
+Above the rank FULL and DECOMPOSABLE fill their degree and are marked
+saturated.  Every rank, Hilbert coefficient, torsion check and membership
+test reduces to these cached per-degree bases; ``ideal_generators`` and the
+generator stream behind it stay as the spanning families the tests
+eliminate to check the direct constructions.
 """
 
 from __future__ import annotations
@@ -24,13 +35,14 @@ from dataclasses import dataclass
 from enum import Enum
 from math import comb
 
-from .arrangement import Arrangement
+from .arrangement import Arrangement, _mask
 from .errors import InputError, InternalInvariantViolation
 from .exterior import ExteriorElement, basis, basis_index, delta, monomial
 from .intlinalg import (
     AbelianInvariants,
     FieldSpec,
     SparseHermite,
+    _row_submul,
     prime_factors,
     quotient_invariants,
 )
@@ -88,7 +100,7 @@ class SpanCheckReport:
 
 
 class IdealLattice:
-    """Hermite basis of one ideal in one degree, with lazy invariant factors.
+    """Echelon basis of one ideal in one degree, with lazy invariant factors.
 
     ``hnf is None`` marks a saturated lattice (all of Z^ncols): above the
     matroid rank every monomial is dependent, so the full and decomposable
@@ -166,13 +178,28 @@ def _unit_rows(a: Arrangement, kind: IdealKind, q: int):
                 yield {col: 1}
 
 
-def _spread_rows(a: Arrangement, kind: IdealKind, q: int):
-    """The generators e_S ^ delta(e_C) with S disjoint from C.
+def _spread_row(s: tuple[int, ...], circ: tuple[int, ...], col_of) -> dict[int, int]:
+    """Coordinates of e_S ^ delta(e_C) for S disjoint from C.
 
-    Computed directly in coordinates: the term at facet C \\ {c_k} lands on
-    the merged tuple with the derivation sign (-1)^k times the shuffle sign
-    of interleaving S.
+    The term at facet C \\ {c_k} lands on the merged tuple with the
+    derivation sign (-1)^k times the shuffle sign of interleaving S.  The
+    merged tuples are distinct, so nothing cancels.
     """
+    row: dict[int, int] = {}
+    for k in range(len(circ)):
+        facet = circ[:k] + circ[k + 1 :]
+        dsign = -1 if k % 2 else 1
+        inv = 0
+        for x in s:
+            for y in facet:
+                if x > y:
+                    inv += 1
+        row[col_of[tuple(sorted(s + facet))]] = -dsign if inv % 2 else dsign
+    return row
+
+
+def _spread_rows(a: Arrangement, kind: IdealKind, q: int):
+    """The generators e_S ^ delta(e_C) with S disjoint from C."""
     n = a.n
     if kind is IdealKind.QUADRATIC:
         sizes = [3] if q >= 2 else []
@@ -186,33 +213,10 @@ def _spread_rows(a: Arrangement, kind: IdealKind, q: int):
             by_size.setdefault(len(c), []).append(c)
     col_of = basis_index(n, q)
     for size in sizes:
-        k_s = q + 1 - size
         for circ in by_size.get(size, ()):
-            facets = []
-            sign = 1
-            for k in range(size):
-                facets.append((sign, circ[:k] + circ[k + 1 :]))
-                sign = -sign
             rest = [i for i in range(n) if i not in circ]
-            for s in itertools.combinations(rest, k_s):
-                row: dict[int, int] = {}
-                for dsign, facet in facets:
-                    # merge sign: inversions between s and the facet
-                    inv = 0
-                    for x in s:
-                        for y in facet:
-                            if x > y:
-                                inv += 1
-                    merged = tuple(sorted(s + facet))
-                    c = -dsign if inv % 2 else dsign
-                    col = col_of[merged]
-                    nv = row.get(col, 0) + c
-                    if nv:
-                        row[col] = nv
-                    else:
-                        del row[col]
-                if row:
-                    yield row
+            for s in itertools.combinations(rest, q + 1 - size):
+                yield _spread_row(s, circ, col_of)
 
 
 def _generator_stream(a: Arrangement, kind: IdealKind, q: int):
@@ -221,8 +225,150 @@ def _generator_stream(a: Arrangement, kind: IdealKind, q: int):
     yield from _spread_rows(a, kind, q)
 
 
+def _circuit_walk(a: Arrangement, q: int, claimed: set[int]):
+    """Every e_S ^ delta(e_C) of degree q with its smallest column.
+
+    Circuits come by size, then lexicographically; S runs lexicographically
+    over the (q+1-|C|)-sets outside C.  The smallest column is
+    T = S + C - max C, a broken circuit for the reversed order plus S: every
+    other term swaps a smaller element of C for max C.  Yields
+    ``(t, s, circ, first)``; ``first`` says t was not in ``claimed``,
+    which the walk updates, so the same product claims each column on
+    every walk that starts from the same set.
+    """
+    n = a.n
+    col_of = basis_index(n, q)
+    for circ in a.circuits(min(q + 1, n)):
+        broken = circ[:-1]
+        rest = [i for i in range(n) if i not in circ]
+        for s in itertools.combinations(rest, q + 1 - len(circ)):
+            t = col_of[tuple(sorted(s + broken))]
+            first = t not in claimed
+            if first:
+                claimed.add(t)
+            yield t, s, circ, first
+
+
+def _full_basis(a: Arrangement, q: int) -> SparseHermite:
+    """Unit-triangular basis of the degree-q Orlik-Solomon ideal, q <= rank.
+
+    One row per q-set T containing a broken circuit: e_T when T is
+    dependent, otherwise the first e_S ^ delta(e_C) of the circuit walk
+    whose smallest column is T, signed so that its pivot is +1.  The
+    rows have unit pivots, so they span a saturated lattice inside I^q;
+    {delta(e_C)} is a Groebner basis whose leading terms are the broken
+    circuits (Bjorner 1982; Bjorner-Ziegler 1991), so there are
+    C(n, q) - b_q rows, the rank of I^q, and the lattice is I^q itself.
+    The count is checked against the Whitney numbers of the intersection
+    lattice.
+    """
+    n = a.n
+    col_of = basis_index(n, q)
+    h = SparseHermite()
+    pivots = h.pivots
+    for row in _unit_rows(a, IdealKind.FULL, q):
+        pivots[min(row)] = row
+    for t, s, circ, first in _circuit_walk(a, q, set(pivots)):
+        if first:
+            row = _spread_row(s, circ, col_of)
+            if row[t] < 0:
+                row = {k: -v for k, v in row.items()}
+            pivots[t] = row
+    expected = comb(n, q) - a.betti_mobius()[q]
+    if h.rank != expected:
+        raise InternalInvariantViolation(
+            f"broken-circuit basis of I^{q} has {h.rank} rows, "
+            f"but C({n},{q}) - b_{q} = {expected}"
+        )
+    return h
+
+
+def _decomposable_basis(a: Arrangement, q: int, full: SparseHermite) -> SparseHermite:
+    """Echelon basis of (Lambda+ I)^q = Lambda^1 ^ I^(q-1), found inside I^q.
+
+    Every row of the full basis lies in Lambda+ I except the rows
+    delta(e_C) with |C| = q+1 (F0, told apart by their q+1 terms):
+    monomials e_T are e_(T-C) ^ e_c ^ delta(e_C) up to sign.  Lambda+ I
+    in degree q is spanned by those rows and the products e_S ^ delta(e_C)
+    with S nonempty, so it is the span of the rows outside F0 plus the
+    combinations sum m_t b_t (t in F0) with m in the lattice M of
+    F0-coordinates of those products.  Only M, on |F0| columns, needs an
+    elimination.
+
+    By the Leibniz rule e_S ^ delta(e_C) = +-delta(e_U) modulo monomials
+    of dependent sets, U = S + C, so all products with the same U have
+    the same F0-coordinates up to sign, and they vanish when one of them
+    is a row of the full basis.  One product per remaining U is reduced.
+    """
+    fp = full.pivots
+    f0 = {t for t, row in fp.items() if len(row) == q + 1}
+    h = SparseHermite()
+    # the rows are shared with the full basis; no caller mutates lattice rows
+    h.pivots = {t: row for t, row in fp.items() if t not in f0}
+    if not f0:
+        return h
+    last = max(f0)
+    claimed = {t for t, row in fp.items() if len(row) == 1}
+    spans: dict[int, tuple] = {}  # mask of U -> one product e_S ^ delta(e_C)
+    in_basis: set[int] = set()
+    for _, s, circ, first in _circuit_walk(a, q, claimed):
+        if s:
+            u = _mask(s + circ)
+            if first:
+                in_basis.add(u)
+            else:
+                spans.setdefault(u, (s, circ))
+    col_of = basis_index(a.n, q)
+    m = SparseHermite()
+    for u, (s, circ) in spans.items():
+        if u in in_basis:
+            continue
+        # coordinates in the full basis, kept only at F0; reduction fills
+        # only columns to the right, so it stops past the last F0 column
+        r = _spread_row(s, circ, col_of)
+        proj: dict[int, int] = {}
+        while r:
+            t = min(r)
+            if t > last:
+                break
+            piv = fp.get(t)
+            if piv is None:
+                raise InternalInvariantViolation(
+                    f"e_S ^ delta(e_C) not in I^{q} (stuck at column {t})"
+                )
+            if t in f0:
+                proj[t] = r[t]
+            _row_submul(r, piv, r[t])
+        if proj:
+            m.insert(proj)
+    for lead, mrow in m.pivots.items():
+        acc: dict[int, int] = {}
+        for t, v in mrow.items():
+            _row_submul(acc, fp[t], -v)
+        h.pivots[lead] = acc
+    return h
+
+
+def _quadratic_hermite(a: Arrangement, q: int, ncols: int) -> SparseHermite:
+    """Hermite basis of the quadratic ideal by elimination of its generators."""
+    h = SparseHermite()
+    for row in _unit_rows(a, IdealKind.QUADRATIC, q):
+        h.insert(row)
+    if not (h.rank == ncols and h.all_unit_pivots()):
+        # leading-column order keeps the elimination fill low on the big
+        # degrees; the echelon result is deterministic either way
+        spread = sorted(
+            _spread_rows(a, IdealKind.QUADRATIC, q), key=lambda r: (min(r), len(r))
+        )
+        for row in spread:
+            h.insert(row)
+            if h.rank == ncols and h.all_unit_pivots():
+                break  # lattice is all of Z^ncols; nothing can change
+    return h
+
+
 def ideal_lattice(a: Arrangement, kind: IdealKind, q: int) -> IdealLattice:
-    """Cached Hermite basis of the degree-q piece of the chosen ideal."""
+    """Cached echelon basis of the degree-q piece of the chosen ideal."""
     _check_degree(a, q)
     key = ("ideal", kind, q)
     hit = a.cache.get(key)
@@ -230,21 +376,14 @@ def ideal_lattice(a: Arrangement, kind: IdealKind, q: int) -> IdealLattice:
         return hit
     ncols = comb(a.n, q)
     if kind is not IdealKind.QUADRATIC and 0 < a.rank() < q:
-        # every q-subset is dependent, so the unit rows already fill Z^ncols
-        lat = IdealLattice(kind, q, ncols, None)
-        a.cache[key] = lat
-        return lat
-    h = SparseHermite()
-    for row in _unit_rows(a, kind, q):
-        h.insert(row)
-    if not (h.rank == ncols and h.all_unit_pivots()):
-        # leading-column order keeps the elimination fill low on the big
-        # degrees; the echelon result is deterministic either way
-        spread = sorted(_spread_rows(a, kind, q), key=lambda r: (min(r), len(r)))
-        for row in spread:
-            h.insert(row)
-            if h.rank == ncols and h.all_unit_pivots():
-                break  # lattice is all of Z^ncols; nothing can change
+        # every q-subset is dependent, so the monomials already fill Z^ncols
+        h = None
+    elif kind is IdealKind.FULL:
+        h = _full_basis(a, q)
+    elif kind is IdealKind.DECOMPOSABLE:
+        h = _decomposable_basis(a, q, ideal_lattice(a, IdealKind.FULL, q).hnf)
+    else:
+        h = _quadratic_hermite(a, q, ncols)
     lat = IdealLattice(kind, q, ncols, h)
     a.cache[key] = lat
     return lat

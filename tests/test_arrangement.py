@@ -170,6 +170,11 @@ def test_circuits_match_bruteforce_scan():
                     for sub in itertools.combinations(combo, size - 1)
                 ):
                     expect.append(combo)
+        # ascending size caps extend the cached enumeration; each answer
+        # must equal a fresh enumeration cut at that size
+        fresh = build(dim, vecs).circuits()
+        for size in range(1, arr.n + 1):
+            assert arr.circuits(size) == [c for c in fresh if len(c) <= size]
         assert arr.circuits() == sorted(expect)
 
 

@@ -277,6 +277,29 @@ def test_search_jobs_same_bytes(tmp_path):
     assert serial.read_bytes() and serial.read_bytes() == pooled.read_bytes()
 
 
+def test_graphic_search_reuses_enumeration_forms(monkeypatch, tmp_path):
+    # the search keys each line by the canonical form the enumeration
+    # already computed, so it makes no call of its own
+    from hyparr import cli, graphs
+
+    calls = []
+    original = graphs.canonical_form
+
+    def counting(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(graphs, "canonical_form", counting)
+    # also catch a search that imports the function for calls of its own
+    monkeypatch.setattr(cli, "canonical_form", counting, raising=False)
+    graphs.connected_graph_reps(5)
+    enumeration_calls = len(calls)
+    del calls[:]
+    assert main(["search", "--family", "graphic", "--max-size", "5",
+                 "--output", str(tmp_path / "g5.jsonl")]) == 0
+    assert enumeration_calls > 0 and len(calls) == enumeration_calls
+
+
 def test_search_bounds(capsys, tmp_path):
     assert main(["search", "--family", "graphic", "--max-size", "9",
                  "--output", str(tmp_path / "x.jsonl")]) == 1

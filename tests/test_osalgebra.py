@@ -1,14 +1,21 @@
 """OS ideals: generators, Hilbert data, torsion, r-tables, span checks."""
 
+import hashlib
+import itertools
+import json
+import random
+from pathlib import Path
+
 import pytest
 
 from hyparr.arrangement import build, from_graph
-from hyparr.errors import InputError
+from hyparr.errors import InputError, InternalInvariantViolation
 from hyparr.exterior import delta, generator, monomial, wedge
-from hyparr.graphs import make_graph
-from hyparr.intlinalg import FieldSpec, RATIONALS
+from hyparr.graphs import connected_graph_reps, make_graph
+from hyparr.intlinalg import FieldSpec, RATIONALS, SparseHermite
 from hyparr.osalgebra import (
     IdealKind,
+    _generator_stream,
     chordless_span_check,
     hilbert,
     ideal_generators,
@@ -17,6 +24,8 @@ from hyparr.osalgebra import (
     quotient_invariants_graded,
     r_table,
 )
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 K3 = make_graph(3, [(0, 1), (0, 2), (1, 2)])
 THETA = make_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)])
@@ -240,8 +249,6 @@ def test_membership_twogen6_identity():
 def test_saturated_marker_matches_direct_construction():
     # above the rank the lattice marker must agree with building the
     # Hermite basis from the raw generator stream
-    from hyparr.intlinalg import SparseHermite
-    from hyparr.osalgebra import _generator_stream
     from math import comb
 
     for arr in (from_graph(K3), build(4, TWOGEN6)):
@@ -293,3 +300,105 @@ def test_hilbert_a_matches_nbc_count():
         counts = nbc_counts(arr)
         coeffs = hilbert(arr, "A", RATIONALS).coefficients
         assert list(coeffs) == counts
+
+
+# ------------------------------- direct constructions vs elimination oracle
+
+
+def coxeter_b(d):
+    normals = [[int(k == i) for k in range(d)] for i in range(d)]
+    for i, j in itertools.combinations(range(d), 2):
+        for s in (1, -1):
+            normals.append([1 if k == i else s if k == j else 0 for k in range(d)])
+    return build(d, normals)
+
+
+def shuffled(arr, rng):
+    normals = list(arr.normals)
+    rng.shuffle(normals)
+    return build(arr.ambient_dim, normals)
+
+
+def direct_construction_inputs():
+    """The 6-vertex corpus, fixtures, B3, B4 and seeded {-1,0,1} inputs,
+    each also with its hyperplanes shuffled."""
+    from hyparr.cli import parse_input
+
+    def base():
+        yield from (from_graph(g) for g in connected_graph_reps(6))
+        yield from (parse_input(str(p)) for p in sorted(FIXTURES.iterdir()))
+        yield coxeter_b(3)
+        yield coxeter_b(4)
+        # small entries give many dependent triples and repeated broken circuits
+        gen = random.Random(1982)
+        for _ in range(40):
+            dim = gen.choice((3, 4))
+            vecs = {tuple(gen.randint(-1, 1) for _ in range(dim)) for _ in range(gen.randint(4, 9))}
+            normals = []
+            for v in sorted(vecs):
+                if any(v) and tuple(-x for x in v) not in normals:
+                    normals.append(v)
+            yield build(dim, normals)
+
+    rng = random.Random(1991)
+    for arr in base():
+        yield arr
+        yield shuffled(arr, rng)
+
+
+def elimination_oracle(arr, kind, q):
+    h = SparseHermite()
+    for row in _generator_stream(arr, kind, q):
+        h.insert(row)
+    return h
+
+
+def test_direct_full_and_decomposable_match_elimination():
+    f0_seen = m_seen = 0
+    for arr in direct_construction_inputs():
+        for q in range(1, arr.rank() + 1):
+            for kind in (IdealKind.FULL, IdealKind.DECOMPOSABLE):
+                lat = ideal_lattice(arr, kind, q)
+                oracle = elimination_oracle(arr, kind, q)
+                assert lat.rank == oracle.rank, (arr.normals, kind, q)
+                assert sorted(lat.divisors()) == sorted(oracle.divisors())
+                assert all(oracle.contains(row) for row in lat.hnf.rows_sorted())
+                assert all(lat.contains(row) for row in oracle.rows_sorted())
+            full = ideal_lattice(arr, IdealKind.FULL, q).hnf
+            assert full.all_unit_pivots()
+            f0 = {t for t, row in full.pivots.items() if len(row) == q + 1}
+            dec = ideal_lattice(arr, IdealKind.DECOMPOSABLE, q).hnf
+            f0_seen += bool(f0)
+            m_seen += any(t in f0 for t in dec.pivots)
+    # both the delta(e_C) rows outside Lambda+ I and the eliminated part occur
+    assert f0_seen >= 20 and m_seen >= 20
+
+
+def test_full_rank_check_raises_on_a_wrong_betti_number(monkeypatch):
+    from hyparr.arrangement import Arrangement
+
+    arr = from_graph(THETA)
+    betti = arr.betti_mobius()
+    monkeypatch.setattr(Arrangement, "betti_mobius", lambda self: betti[:2] + [betti[2] + 1] + betti[3:])
+    with pytest.raises(InternalInvariantViolation):
+        ideal_lattice(arr, IdealKind.FULL, 2)
+
+
+def test_mu_matrices_of_6_vertex_graphs_frozen():
+    # sha256 recorded with the elimination-built ideal bases; the mu matrix
+    # is written in the full ideal's basis, so it pins the basis rows too
+    from hyparr.homotopy import mu_presentation
+    from hyparr.hypersolvable import classify
+
+    digest = hashlib.sha256()
+    count = 0
+    for g in connected_graph_reps(6):
+        arr = from_graph(g)
+        cls = classify(arr)
+        if cls.hypersolvable and not cls.supersolvable:
+            count += 1
+            digest.update(json.dumps(mu_presentation(arr).matrix).encode() + b"\n")
+    assert count == 48
+    assert digest.hexdigest() == (
+        "8bae29bed108e4e7e002db7450e0e9ecb407a7cebc09d588797020b864a92163"
+    )
