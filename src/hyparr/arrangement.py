@@ -59,7 +59,7 @@ class Arrangement:
         self._circuit_masks: list[int] = []
         self._circuits_upto = -1
         self._lattice = None
-        self._pair_closures: dict[frozenset[int], frozenset[int]] | None = None
+        self._pair_closures: list[list[int]] | None = None
         self.cache: dict = {}  # scratch space for higher layers (os data etc.)
 
     @property
@@ -143,9 +143,7 @@ class Arrangement:
         # sizes up to _circuits_upto are complete; extend from there
         for size in range(max(3, self._circuits_upto + 1), cap + 1):
             for combo in itertools.combinations(range(self.n), size):
-                m = 0
-                for i in combo:
-                    m |= 1 << i
+                m = _mask(combo)
                 if any(cm & m == cm for cm in masks):
                     continue
                 if self.is_dependent(combo):
@@ -181,10 +179,12 @@ class Arrangement:
         """c(A): size of the smallest dependent subset; None when independent."""
         if self.rank() == self.n:
             return None
+        # a dependent set contains a circuit, and circuits() extends its
+        # cache one size at a time, so the first size with a circuit is c
         for size in range(3, self.n + 1):
-            for combo in itertools.combinations(range(self.n), size):
-                if self.is_dependent(combo):
-                    return size
+            found = self.circuits(size)
+            if found:
+                return len(found[0])
         return None
 
     def c_and_genericity(self) -> tuple[int | None, bool | None]:
@@ -196,18 +196,22 @@ class Arrangement:
 
     # ------------------------------------------------------------ flats
 
-    def pair_closures(self) -> dict[frozenset[int], frozenset[int]]:
-        """Rank-2 closure of each pair of hyperplanes (the collinearity table)."""
+    def pair_closures(self) -> list[list[int]]:
+        """The collinearity table: ``line[a][b]`` is the int mask of cl{a, b}.
+
+        For a != b that is the rank-2 flat through a and b; ``line[a][a]`` is
+        the single bit of a.  Shared by every caller, so never mutate it.
+        """
         if self._pair_closures is None:
-            out: dict[frozenset[int], frozenset[int]] = {}
-            for i, j in itertools.combinations(range(self.n), 2):
-                pair = frozenset((i, j))
-                members = set(pair)
-                for h in range(self.n):
-                    if h not in pair and self._rank(frozenset((i, j, h))) == 2:
-                        members.add(h)
-                out[pair] = frozenset(members)
-            self._pair_closures = out
+            n = self.n
+            line = [[1 << i if i == j else 0 for j in range(n)] for i in range(n)]
+            for i, j in itertools.combinations(range(n), 2):
+                m = 1 << i | 1 << j
+                for h in range(n):
+                    if h != i and h != j and self._rank(frozenset((i, j, h))) == 2:
+                        m |= 1 << h
+                line[i][j] = line[j][i] = m
+            self._pair_closures = line
         return self._pair_closures
 
     def intersection_lattice(self) -> "IntersectionLattice":
@@ -337,10 +341,7 @@ class IntersectionLattice:
         chain is recorded and never searched again.
         """
         n = self.arr.n
-        line = [[0] * n for _ in range(n)]  # line[a][b]: mask of cl{a, b}
-        for pair, members in self.arr.pair_closures().items():
-            a, b = pair
-            line[a][b] = line[b][a] = _mask(members)
+        line = self.arr.pair_closures()
         by_rank: list[list[int]] = [[] for _ in range(self.rank_of[self.flats[-1]] + 1)]
         for flat in self.flats:
             by_rank[self.rank_of[flat]].append(_mask(flat))

@@ -267,8 +267,7 @@ def _random_2generic_instances(seed: int, max_size: int, count: int):
         if not ok:
             continue
         arr = build(dim, normals)
-        c, two_generic = arr.c_and_genericity()
-        if c is None or not two_generic:
+        if arr.rank() == arr.n or arr.circuits(3):  # independent, or c = 3
             continue
         yield (f"r2g-s{seed}-i{idx}", dim, tuple(normals))
         idx += 1

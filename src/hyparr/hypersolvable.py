@@ -10,10 +10,14 @@ writing D = T minus B,
   (III) solvability: for distinct d, d', d'' in D the three values of f
         either coincide or are three distinct hyperplanes of rank 2.
 
-Collinearity means rank {x, y, z} = 2, so everything is driven by the
-rank-2 closures of pairs, computed once per arrangement.  The search for a
-series backtracks over candidate extension sets, smallest first, and
-memoizes dead states; absence of a series is therefore exhaustive.
+Collinearity means rank {x, y, z} = 2, so everything reads one table,
+``Arrangement.pair_closures``: ``line[a][b]`` is the int mask of the
+rank-2 closure of {a, b}, computed once per arrangement.  Sets of
+hyperplanes are int masks too, and each condition has one implementation
+(``_unclosed``, ``_f``, ``_solvable``) shared by ``solvable_extension_check``
+and the search.  The search for a series backtracks over candidate
+extension sets, smallest first, and memoizes dead states; absence of a
+series is therefore exhaustive.
 
 The exponent product identity prod(1 + d_i t) = Hilbert(Lambda / I_2) over
 the rationals is enforced for every series found, which guards conditions
@@ -24,12 +28,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import comb
 from typing import Optional
 
-from .arrangement import Arrangement
+from .arrangement import Arrangement, _mask
 from .errors import InputError, InternalInvariantViolation
 from .intlinalg import RATIONALS
-from .osalgebra import hilbert
+from .osalgebra import IdealKind, hilbert, ideal_lattice
 
 
 @dataclass
@@ -54,6 +59,46 @@ class Classification:
     p_raw: bool  # p reported as the raw sup although not hypersolvable
 
 
+def _members(mask: int) -> list[int]:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _unclosed(line: list[list[int]], s: int, whole: int) -> Optional[tuple[int, int, int]]:
+    """Condition (I): every line through two members of s stays inside s.
+
+    Only hyperplanes of ``whole`` count.  Returns None when s is closed, else
+    the first (d, x, y): d outside s on the line through x != y in s.
+    """
+    inside = _members(s)
+    for d in _members(whole & ~s):
+        for x in inside:
+            others = line[d][x] & s & ~(1 << x)
+            if others:
+                return d, x, _members(others)[0]
+    return None
+
+
+def _f(line: list[list[int]], s: int, d: int, d2: int) -> Optional[int]:
+    """f(d, d2): the member of s on the line through d and d2, None if none.
+
+    Unique once s is closed, since two members would put d on their line.
+    """
+    hits = line[d][d2] & s
+    if hits & (hits - 1):
+        raise InternalInvariantViolation(
+            f"f({d},{d2}) not unique although closedness held: {_members(hits)}"
+        )
+    return hits.bit_length() - 1 if hits else None
+
+
+def _solvable(line: list[list[int]], f1: int, f2: int, f3: int) -> bool:
+    """Condition (III) for one triple of f values: all equal, or three
+    distinct hyperplanes on one line."""
+    if f1 == f2 == f3:
+        return True
+    return f3 != f1 and f3 != f2 and bool(line[f1][f2] >> f3 & 1)
+
+
 def solvable_extension_check(
     a: Arrangement,
     b,
@@ -68,85 +113,47 @@ def solvable_extension_check(
     bset = frozenset(b)
     if not bset or not bset < whole:
         raise InputError("b must be a nonempty proper subset of the ambient set")
-    cl2 = a.pair_closures()
+    line = a.pair_closures()
+    s = _mask(bset)
+    bad = _unclosed(line, s, _mask(whole))
+    if bad is not None:
+        return False, ("closedness", bad)
     rest = sorted(whole - bset)
-
-    for d in rest:
-        for s in sorted(bset):
-            partners = cl2[frozenset((d, s))] & bset - {s}
-            if partners:
-                return False, ("closedness", (d, s, min(partners)))
-
     f: dict[tuple[int, int], int] = {}
     for d, d2 in itertools.combinations(rest, 2):
-        hits = cl2[frozenset((d, d2))] & bset
-        if not hits:
+        f[d, d2] = _f(line, s, d, d2)
+        if f[d, d2] is None:
             return False, ("completeness", (d, d2))
-        if len(hits) > 1:
-            raise InternalInvariantViolation(
-                f"f({d},{d2}) not unique although closedness held: {sorted(hits)}"
-            )
-        f[(d, d2)] = next(iter(hits))
-
     for d, d2, d3 in itertools.combinations(rest, 3):
-        v = (f[(d, d2)], f[(d2, d3)], f[(d, d3)])
-        if v[0] == v[1] == v[2]:
-            continue
-        if len(set(v)) == 3 and a._rank(frozenset(v)) == 2:
-            continue
-        return False, ("solvability", (d, d2, d3))
+        if not _solvable(line, f[d, d2], f[d2, d3], f[d, d3]):
+            return False, ("solvability", (d, d2, d3))
     return True, None
 
 
-def _extension_candidates(a: Arrangement, s: frozenset[int]) -> list[tuple[int, ...]]:
-    """All valid extension sets D for state s, sorted by size then lex."""
-    cl2 = a.pair_closures()
-    n = a.n
-    addable = []
-    for d in range(n):
-        if d in s:
-            continue
-        if all(not (cl2[frozenset((d, x))] & s - {x}) for x in s):
-            addable.append(d)
-    if not addable:
-        return []
-    pos = {d: k for k, d in enumerate(addable)}
-    compat = {d: set() for d in addable}
-    fval: dict[tuple[int, int], int] = {}
-    for d, d2 in itertools.combinations(addable, 2):
-        hits = cl2[frozenset((d, d2))] & s
-        if hits:
-            if len(hits) > 1:
-                raise InternalInvariantViolation(
-                    f"non-unique f({d},{d2}) on addable pair: {sorted(hits)}"
-                )
-            compat[d].add(d2)
-            compat[d2].add(d)
-            fval[(d, d2)] = next(iter(hits))
+def _extensions(line: list[list[int]], s: int, rest: list[int]) -> list[tuple[int, ...]]:
+    """Every nonempty D in ``rest`` meeting (II) and (III) over s, by size then lex.
 
-    cliques: list[tuple[int, ...]] = []
+    Both conditions pass to subsets, so D grows one hyperplane at a time
+    and a failing D is never extended.
+    """
+    f = {}
+    for d, d2 in itertools.combinations(rest, 2):
+        v = _f(line, s, d, d2)
+        if v is not None:
+            f[d, d2] = v
+    out: list[tuple[int, ...]] = []
 
-    def grow(current: list[int], allowed: list[int]) -> None:
-        cliques.append(tuple(current))
+    def grow(dset: tuple[int, ...], allowed: list[int]) -> None:
         for k, d in enumerate(allowed):
-            nxt = [x for x in allowed[k + 1 :] if x in compat[d]]
-            grow(current + [d], nxt)
+            if all(
+                _solvable(line, f[x, y], f[x, d], f[y, d])
+                for x, y in itertools.combinations(dset, 2)
+            ):
+                out.append(dset + (d,))
+                grow(dset + (d,), [e for e in allowed[k + 1 :] if (d, e) in f])
 
-    for k, d in enumerate(addable):
-        grow([d], [x for x in addable[k + 1 :] if x in compat[d]])
-
-    def solvable(dset: tuple[int, ...]) -> bool:
-        for t in itertools.combinations(dset, 3):
-            v = (fval[(t[0], t[1])], fval[(t[1], t[2])], fval[(t[0], t[2])])
-            if v[0] == v[1] == v[2]:
-                continue
-            if len(set(v)) == 3 and a._rank(frozenset(v)) == 2:
-                continue
-            return False
-        return True
-
-    out = [d for d in cliques if solvable(d)]
-    out.sort(key=lambda d: (len(d), d))
+    grow((), rest)
+    out.sort(key=lambda dset: (len(dset), dset))
     return out
 
 
@@ -167,41 +174,31 @@ def composition_series(a: Arrangement) -> Optional[CompositionSeries]:
     elif n == 1:
         result = CompositionSeries([(0,)], [1])
     else:
-        dead: set[frozenset[int]] = set()
-        full = frozenset(range(n))
-        cl2 = a.pair_closures()
+        line = a.pair_closures()
+        full = (1 << n) - 1
+        dead: set[int] = set()
 
-        def closed_in_full(s: frozenset[int]) -> bool:
-            # closedness is transitive along solvable extensions, so any
-            # state not closed in the whole arrangement can never finish a
-            # chain and is dead on arrival
-            for d in range(n):
-                if d in s:
-                    continue
-                for x in s:
-                    if cl2[frozenset((d, x))] & s - {x}:
-                        return False
-            return True
-
-        def extend(s: frozenset[int], chain: list[tuple[int, ...]]):
+        def extend(s: int, chain: list[int]) -> Optional[list[int]]:
             if s == full:
                 return chain
             if s in dead:
                 return None
-            if not closed_in_full(s):
-                dead.add(s)
-                return None
-            for d in _extension_candidates(a, s):
-                t = s | set(d)
-                got = extend(t, chain + [tuple(sorted(t))])
-                if got is not None:
-                    return got
+            # closedness is transitive along solvable extensions, so a state
+            # not closed in the whole arrangement can never finish a chain;
+            # a closed one is closed inside every s + D, leaving (II), (III)
+            if _unclosed(line, s, full) is None:
+                for dset in _extensions(line, s, _members(full & ~s)):
+                    t = s | _mask(dset)
+                    got = extend(t, chain + [t])
+                    if got is not None:
+                        return got
             dead.add(s)
             return None
 
         for start in range(n):
-            chain = extend(frozenset((start,)), [(start,)])
-            if chain is not None:
+            masks = extend(1 << start, [1 << start])
+            if masks is not None:
+                chain = [tuple(_members(m)) for m in masks]
                 exps = [1] + [
                     len(chain[k + 1]) - len(chain[k]) for k in range(len(chain) - 1)
                 ]
@@ -231,10 +228,6 @@ def p_order(a: Arrangement) -> Optional[int]:
     homotopy reading requires a hypersolvable arrangement; the raw sup is
     computed regardless and flagged by classify().
     """
-    from math import comb
-
-    from .osalgebra import IdealKind, ideal_lattice
-
     for t in range(a.n + 1):
         ca = comb(a.n, t) - ideal_lattice(a, IdealKind.FULL, t).rank
         cq = comb(a.n, t) - ideal_lattice(a, IdealKind.QUADRATIC, t).rank

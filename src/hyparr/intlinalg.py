@@ -666,33 +666,6 @@ def quotient_invariants(
     )
 
 
-def det(mat: Sequence[Sequence[int]]) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    n = len(mat)
-    if n == 0:
-        return 1
-    if _validate(mat) != n:
-        raise InputError("determinant of a non-square matrix")
-    A = [[int(x) for x in row] for row in mat]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if A[k][k] == 0:
-            for i in range(k + 1, n):
-                if A[i][k]:
-                    A[k], A[i] = A[i], A[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
-            A[i][k] = 0
-        prev = A[k][k]
-    return sign * A[n - 1][n - 1]
-
-
 def int_rank(vectors: Sequence[Sequence[int]]) -> int:
     """Rank over Q of integer vectors, by exact fraction-free elimination."""
     A = [list(map(int, v)) for v in vectors if any(v)]

@@ -157,16 +157,9 @@ def _unit_rows(a: Arrangement, kind: IdealKind, q: int):
     r = a.rank()
     if kind is IdealKind.QUADRATIC:
         three = [c for c in a.circuits(min(3, n)) if len(c) == 3]
-        masks = []
-        for c in three:
-            m = 0
-            for i in c:
-                m |= 1 << i
-            masks.append(m)
+        masks = [_mask(c) for c in three]
         for col, T in enumerate(basis(n, q)):
-            tm = 0
-            for i in T:
-                tm |= 1 << i
+            tm = _mask(T)
             if any(cm & tm == cm for cm in masks):
                 yield {col: 1}
     elif q > r:

@@ -24,53 +24,31 @@ TOOL_VERSION = "0.1.0"
 _SAFE_INT = 2**53
 
 
-def _ser(obj: Any, indent: int, out: list[str]) -> None:
-    pad = "  " * indent
-    if isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif obj is None:
-        out.append("null")
-    elif isinstance(obj, int):
-        if abs(obj) > _SAFE_INT:
-            out.append(f'"{obj}"')
-        else:
-            out.append(str(obj))
-    elif isinstance(obj, float):
-        raise InternalInvariantViolation("floats are banned from reports")
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=False))
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        keys = sorted(obj)
-        for k, key in enumerate(keys):
+def _plain(obj: Any) -> Any:
+    """The document as plain JSON values, with integers past 2**53 as strings.
+
+    Raises on floats, non-string keys and any other type, so nothing inexact
+    or unordered reaches the output.
+    """
+    if obj is None or isinstance(obj, (bool, str)):
+        return obj
+    if isinstance(obj, int):
+        return str(obj) if abs(obj) > _SAFE_INT else obj
+    if isinstance(obj, dict):
+        for key in obj:
             if not isinstance(key, str):
                 raise InternalInvariantViolation(f"non-string report key {key!r}")
-            out.append(f'{pad}  {json.dumps(key, ensure_ascii=False)}: ')
-            _ser(obj[key], indent + 1, out)
-            out.append(",\n" if k + 1 < len(keys) else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for k, item in enumerate(obj):
-            out.append(pad + "  ")
-            _ser(item, indent + 1, out)
-            out.append(",\n" if k + 1 < len(obj) else "\n")
-        out.append(pad + "]")
-    else:
-        raise InternalInvariantViolation(f"unserializable report value {obj!r}")
+        return {key: _plain(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(item) for item in obj]
+    if isinstance(obj, float):
+        raise InternalInvariantViolation("floats are banned from reports")
+    raise InternalInvariantViolation(f"unserializable report value {obj!r}")
 
 
 def canonical_json_bytes(doc: dict) -> bytes:
-    out: list[str] = []
-    _ser(doc, 0, out)
-    out.append("\n")
-    return "".join(out).encode("utf-8")
+    text = json.dumps(_plain(doc), sort_keys=True, ensure_ascii=False, indent=2)
+    return (text + "\n").encode("utf-8")
 
 
 def emit_report(doc: dict, path: str | None = None) -> bytes:
@@ -90,39 +68,7 @@ def emit_report(doc: dict, path: str | None = None) -> bytes:
 
 def canonical_json_line(doc: dict) -> str:
     """Single-line canonical form for JSONL streams."""
-    chunks: list[str] = []
-
-    def flat(obj: Any) -> None:
-        if isinstance(obj, bool):
-            chunks.append("true" if obj else "false")
-        elif obj is None:
-            chunks.append("null")
-        elif isinstance(obj, int):
-            chunks.append(f'"{obj}"' if abs(obj) > _SAFE_INT else str(obj))
-        elif isinstance(obj, float):
-            raise InternalInvariantViolation("floats are banned from reports")
-        elif isinstance(obj, str):
-            chunks.append(json.dumps(obj, ensure_ascii=False))
-        elif isinstance(obj, dict):
-            chunks.append("{")
-            for k, key in enumerate(sorted(obj)):
-                if k:
-                    chunks.append(", ")
-                chunks.append(json.dumps(key, ensure_ascii=False) + ": ")
-                flat(obj[key])
-            chunks.append("}")
-        elif isinstance(obj, (list, tuple)):
-            chunks.append("[")
-            for k, item in enumerate(obj):
-                if k:
-                    chunks.append(", ")
-                flat(item)
-            chunks.append("]")
-        else:
-            raise InternalInvariantViolation(f"unserializable report value {obj!r}")
-
-    flat(doc)
-    return "".join(chunks)
+    return json.dumps(_plain(doc), sort_keys=True, ensure_ascii=False)
 
 
 def input_echo(arr: Arrangement) -> dict:

@@ -173,6 +173,8 @@ def test_circuits_match_bruteforce_scan():
         # ascending size caps extend the cached enumeration; each answer
         # must equal a fresh enumeration cut at that size
         fresh = build(dim, vecs).circuits()
+        # c read off the circuits on a fresh arrangement: the smallest one
+        assert build(dim, vecs).smallest_dependent_size() == min(map(len, expect), default=None)
         for size in range(1, arr.n + 1):
             assert arr.circuits(size) == [c for c in fresh if len(c) <= size]
         assert arr.circuits() == sorted(expect)

@@ -1,5 +1,6 @@
 """CLI: parsing, exit codes, canonical reports, determinism, search."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -231,6 +232,13 @@ def test_search_contains_theta_matching_analyze(tmp_path):
         and d["gr1_rank"] == 6
         for d in map(json.loads, out.read_text().splitlines())
     )
+    # recorded before the search moved to int masks; carries every
+    # classification.series of the 48 qualifying graphs
+    data = out.read_bytes()
+    assert data.count(b"\n") == 48
+    assert hashlib.sha256(data).hexdigest() == (
+        "b6a40382b6e5e79d000daa8dcf7aeb22c7cd9f8d02c7281fae191f8ab8851087"
+    )
 
 
 def test_search_seeded_determinism(tmp_path):
@@ -323,11 +331,37 @@ def test_canonical_json_bigint_and_sorting():
     assert parsed["b"] == str(2**60)
 
 
+def test_canonical_json_exact_bytes():
+    doc = {
+        "b": [2**53, 2**53 + 1, -(2**53), -(2**53 + 1), -3, 0],
+        "\u00e9": "\u00fcn\u00ef",
+        "a": {"z": {}, "y": []},
+        "t": (1, (2, (None, False)), ()),
+        "n": None,
+    }
+    assert canonical_json_bytes(doc) == (
+        b'{\n  "a": {\n    "y": [],\n    "z": {}\n  },\n  "b": [\n'
+        b'    9007199254740992,\n    "9007199254740993",\n'
+        b'    -9007199254740992,\n    "-9007199254740993",\n    -3,\n    0\n  ],\n'
+        b'  "n": null,\n  "t": [\n    1,\n    [\n      2,\n      [\n'
+        b'        null,\n        false\n      ]\n    ],\n    []\n  ],\n'
+        b'  "\xc3\xa9": "\xc3\xbcn\xc3\xaf"\n}\n'
+    )
+    assert canonical_json_line(doc) == (
+        '{"a": {"y": [], "z": {}}, "b": [9007199254740992, "9007199254740993", '
+        '-9007199254740992, "-9007199254740993", -3, 0], "n": null, '
+        '"t": [1, [2, [null, false]], []], "\u00e9": "\u00fcn\u00ef"}'
+    )
+
+
 def test_canonical_json_rejects_floats():
     from hyparr.errors import InternalInvariantViolation
 
-    with pytest.raises(InternalInvariantViolation):
-        canonical_json_bytes({"x": 1.5})
+    for doc in ({"x": 1.5}, {"x": [{1: 2}]}, {"x": {3}}):
+        with pytest.raises(InternalInvariantViolation):
+            canonical_json_bytes(doc)
+        with pytest.raises(InternalInvariantViolation):
+            canonical_json_line(doc)
 
 
 def test_analyze_json_to_stdout(capsys):
