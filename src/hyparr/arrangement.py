@@ -35,16 +35,16 @@ class Arrangement:
         for idx, v in enumerate(normals):
             vec = tuple(int(x) for x in v)
             if len(vec) != ambient_dim:
-                raise InputError(
-                    f"hyperplane {idx}: normal has {len(vec)} coordinates, expected {ambient_dim}"
+                raise InputError.about_hyperplanes(
+                    f": normal has {len(vec)} coordinates, expected {ambient_dim}", idx
                 )
             if not any(vec):
-                raise InputError(f"hyperplane {idx}: zero normal vector")
+                raise InputError.about_hyperplanes(": zero normal vector", idx)
             norm.append(vec)
         for i, j in itertools.combinations(range(len(norm)), 2):
             if _proportional(norm[i], norm[j]):
-                raise InputError(
-                    f"hyperplanes {i} and {j} are proportional: {norm[i]} ~ {norm[j]}"
+                raise InputError.about_hyperplanes(
+                    f" are proportional: {norm[i]} ~ {norm[j]}", i, j
                 )
         self.ambient_dim = ambient_dim
         self.normals = tuple(norm)

@@ -113,21 +113,9 @@ def parse_input(path: str, fmt: str | None = None) -> Arrangement:
 
 
 def _reindex_error(exc: InputError, path: str, linenos: list[int]) -> InputError:
-    # hyperplane indices in build() errors become file line numbers
-    msg = str(exc)
-    import re
-
-    def sub(match):
-        i = int(match.group(1))
-        return f"line {linenos[i]}" if i < len(linenos) else match.group(0)
-
-    renamed = re.sub(r"hyperplane (\d+)", lambda m: sub(m), msg)
-    renamed = re.sub(r"hyperplanes (\d+) and (\d+)", lambda m: (
-        f"lines {linenos[int(m.group(1))]} and {linenos[int(m.group(2))]}"
-        if int(m.group(1)) < len(linenos) and int(m.group(2)) < len(linenos)
-        else m.group(0)
-    ), renamed)
-    return InputError(f"{path}: {renamed}")
+    # build() names hyperplanes by index; the file names them by line
+    msg = exc.naming("line", linenos) if exc.hyperplanes else str(exc)
+    return InputError(f"{path}: {msg}")
 
 
 def _parse_fields(spec: str | None):

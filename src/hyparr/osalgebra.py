@@ -18,8 +18,12 @@ as an echelon basis whose pivot is the smallest column of its row:
   numbers of the intersection lattice.
 * DECOMPOSABLE keeps every FULL row except the delta(e_C) with |C| = q+1,
   and eliminates only on the coordinates of those rows.
-* QUADRATIC is the Hermite form of its generators.  Monomial generators
-  enter as unit rows, which keeps the big matrices cheap.
+* QUADRATIC splits by the Leibniz rule into the monomials of the q-sets
+  containing a 3-circuit and, on the other columns, one row of 1 or 3
+  entries +-1 per (q+1)-set whose 3-circuits share a point.  The first
+  row per leading column and the monomials form a unit-triangular family;
+  when it has rank I^q rows it is the basis (Q^q = I^q) and nothing is
+  eliminated, otherwise the remaining short rows are.
 
 Above the rank FULL and DECOMPOSABLE fill their degree and are marked
 saturated.  Every rank, Hilbert coefficient, torsion check and membership
@@ -342,22 +346,131 @@ def _decomposable_basis(a: Arrangement, q: int, full: SparseHermite) -> SparseHe
     return h
 
 
-def _quadratic_hermite(a: Arrangement, q: int, ncols: int) -> SparseHermite:
-    """Hermite basis of the quadratic ideal by elimination of its generators."""
+def _free_sets(third: list[list[int]], n: int, q: int) -> list[tuple[int, int, int]]:
+    """The q-sets containing no 3-circuit, in basis(n, q) order.
+
+    Returns ``(col, mask, forbid)`` per set: its column in basis(n, q), its
+    int mask, and the mask of the hyperplanes outside it that close a
+    3-circuit with two of its members.  A prefix that takes in a forbidden
+    hyperplane is dropped with all of its completions, which form one
+    block of consecutive columns.
+    """
+    out: list[tuple[int, int, int]] = []
+    col = 0
+    members: list[int] = []
+
+    def walk(start: int, mask: int, forbid: int) -> None:
+        nonlocal col
+        k = len(members)
+        if k == q:
+            out.append((col, mask, forbid))
+            col += 1
+            return
+        for v in range(start, n - q + k + 1):
+            if forbid >> v & 1:
+                col += comb(n - v - 1, q - k - 1)
+                continue
+            closing = third[v]
+            grown = forbid
+            for x in members:
+                grown |= closing[x]
+            members.append(v)
+            walk(v + 1, mask | 1 << v, grown)
+            members.pop()
+
+    walk(0, 0, 0)
+    return out
+
+
+def _quadratic_basis(a: Arrangement, q: int) -> SparseHermite:
+    """Echelon basis of the degree-q quadratic ideal Q^q from short rows.
+
+    Call a q-set free when it contains no 3-circuit.  By the Leibniz rule
+    e_S ^ delta(e_C) = +-delta(e_U) modulo monomials containing C, where
+    U = S + C, so Q^q = M + L: M is spanned by the monomials of the
+    non-free q-sets, and L, on the free columns, by the projections
+    pi(delta(e_U)) = sum over u in K(U) of +-e_(U-u), one per (q+1)-set U
+    holding a 3-circuit, with K(U) the intersection of its 3-circuits (the
+    u with U - u free).  When K(U) is not empty, U = T + u with T free and
+    u = max K(U), and every 3-circuit of U passes through u.  In a simple
+    matroid K(U) is then {u, x, y} when x and y are the only members of T
+    on a 3-circuit with u, and {u} otherwise: two 3-circuits through u
+    that share x put a third one inside T.
+
+    Each U gives one row of 1 or 3 entries +-1 whose smallest column is T.
+    The first row per T, signed to lead +1, and the unit rows of M form a
+    unit-triangular family, so they span a saturated lattice inside
+    Q^q <= I^q.  When that family has rank I^q rows it is Q^q = I^q and
+    nothing is eliminated; otherwise the other rows are inserted by
+    leading column.  A rank above rank I^q is a contradiction.
+    """
+    n = a.n
+    three = a.circuits(min(3, n))
+    if not three:
+        return SparseHermite()  # I_2 = 0, so Q is zero in every degree
+    third = [[0] * n for _ in range(n)]  # third[x][y]: the z with {x, y, z} a 3-circuit
+    for c in three:
+        for x, y, z in itertools.permutations(c):
+            third[x][y] |= 1 << z
+    free = _free_sets(third, n, q)
+    col_of = {tm: t for t, tm, _ in free}
     h = SparseHermite()
-    for row in _unit_rows(a, IdealKind.QUADRATIC, q):
-        h.insert(row)
-    if not (h.rank == ncols and h.all_unit_pivots()):
-        # leading-column order keeps the elimination fill low on the big
-        # degrees; the echelon result is deterministic either way
-        spread = sorted(
-            _spread_rows(a, IdealKind.QUADRATIC, q), key=lambda r: (min(r), len(r))
-        )
-        for row in spread:
+    pivots = h.pivots
+    free_cols = set(col_of.values())
+    for col in range(comb(n, q)):
+        if col not in free_cols:
+            pivots[col] = {col: 1}  # the monomials of M
+    for t, tm, forbid in free:
+        row = next(_leibniz_rows(third, col_of, t, tm, forbid), None)
+        if row is not None:
+            pivots[t] = row
+    expected = comb(n, q) - (a.betti_mobius()[q] if q <= a.rank() else 0)
+    if h.rank < expected:
+        rest = [
+            row
+            for t, tm, forbid in free
+            for row in itertools.islice(_leibniz_rows(third, col_of, t, tm, forbid), 1, None)
+        ]
+        # by leading column, unit rows first, which keeps the fill low
+        rest.sort(key=lambda r: (min(r), len(r)))
+        for row in rest:
             h.insert(row)
-            if h.rank == ncols and h.all_unit_pivots():
-                break  # lattice is all of Z^ncols; nothing can change
+    if h.rank > expected:
+        raise InternalInvariantViolation(
+            f"quadratic ideal in degree {q} has rank {h.rank}, "
+            f"above rank I^{q} = {expected}"
+        )
     return h
+
+
+def _leibniz_rows(third: list[list[int]], col_of: dict[int, int], t: int, tm: int, forbid: int):
+    """The rows pi(delta(e_U)) led by the free q-set T (mask tm, column t).
+
+    U runs over T + u for the u in ``forbid`` with u = max K(U), in
+    ascending u; each row is signed so that its entry at t is +1.
+    """
+    members = [x for x in range(len(third)) if tm >> x & 1]
+    while forbid:
+        low = forbid & -forbid
+        forbid ^= low
+        u = low.bit_length() - 1
+        closing = third[u]
+        pair = [x for x in members if closing[x] & tm]
+        if len(pair) != 2:
+            yield {t: 1}  # K(U) = {u}, so e_T itself lies in Q^q
+        elif pair[1] < u:
+            um = tm | low
+            lead = _pos_sign(um, u)
+            row = {t: 1}
+            for x in pair:
+                row[col_of[um ^ 1 << x]] = lead * _pos_sign(um, x)
+            yield row
+        # otherwise U is built from T + u - pair[1], where pair[1] is max K(U)
+
+
+def _pos_sign(mask: int, x: int) -> int:
+    """(-1)^k for x the k-th smallest member of mask: the sign of e_(U-x) in delta(e_U)."""
+    return -1 if (mask & ((1 << x) - 1)).bit_count() % 2 else 1
 
 
 def ideal_lattice(a: Arrangement, kind: IdealKind, q: int) -> IdealLattice:
@@ -376,7 +489,7 @@ def ideal_lattice(a: Arrangement, kind: IdealKind, q: int) -> IdealLattice:
     elif kind is IdealKind.DECOMPOSABLE:
         h = _decomposable_basis(a, q, ideal_lattice(a, IdealKind.FULL, q).hnf)
     else:
-        h = _quadratic_hermite(a, q, ncols)
+        h = _quadratic_basis(a, q)
     lat = IdealLattice(kind, q, ncols, h)
     a.cache[key] = lat
     return lat

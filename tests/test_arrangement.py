@@ -103,6 +103,23 @@ def test_build_rejects_zero_normal():
         build(2, [(0, 0)])
 
 
+def test_build_errors_carry_hyperplane_indices():
+    cases = [
+        ([(1, 0), (0, 1), (2, 0)], (0, 2), "hyperplanes 0 and 2 are proportional",
+         "lines 7 and 9 are proportional"),
+        ([(1, 1), (0, 0)], (1,), "hyperplane 1: zero normal vector",
+         "line 8: zero normal vector"),
+        ([(1, 1), (1, 0, 0)], (1,), "hyperplane 1: normal has 3 coordinates",
+         "line 8: normal has 3 coordinates"),
+    ]
+    for normals, indices, message, renamed in cases:
+        with pytest.raises(InputError) as info:
+            build(2, normals)
+        assert info.value.hyperplanes == indices
+        assert str(info.value).startswith(message)
+        assert info.value.naming("line", [7, 8, 9]).startswith(renamed)
+
+
 def test_subset_rank():
     arr = from_graph(K3)
     assert arr.subset_rank(range(3)) == 2

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import random
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -319,6 +320,16 @@ def shuffled(arr, rng):
     return build(arr.ambient_dim, normals)
 
 
+def small_entries(gen, dim, draws):
+    """The arrangement of `draws` random {-1,0,1} vectors, dropping zero and -v."""
+    vecs = {tuple(gen.randint(-1, 1) for _ in range(dim)) for _ in range(draws)}
+    normals = []
+    for v in sorted(vecs):
+        if any(v) and tuple(-x for x in v) not in normals:
+            normals.append(v)
+    return build(dim, normals)
+
+
 def direct_construction_inputs():
     """The 6-vertex corpus, fixtures, B3, B4 and seeded {-1,0,1} inputs,
     each also with its hyperplanes shuffled."""
@@ -333,12 +344,7 @@ def direct_construction_inputs():
         gen = random.Random(1982)
         for _ in range(40):
             dim = gen.choice((3, 4))
-            vecs = {tuple(gen.randint(-1, 1) for _ in range(dim)) for _ in range(gen.randint(4, 9))}
-            normals = []
-            for v in sorted(vecs):
-                if any(v) and tuple(-x for x in v) not in normals:
-                    normals.append(v)
-            yield build(dim, normals)
+            yield small_entries(gen, dim, gen.randint(4, 9))
 
     rng = random.Random(1991)
     for arr in base():
@@ -348,8 +354,11 @@ def direct_construction_inputs():
 
 def elimination_oracle(arr, kind, q):
     h = SparseHermite()
+    ncols = comb(arr.n, q)
     for row in _generator_stream(arr, kind, q):
         h.insert(row)
+        if h.rank == ncols and h.all_unit_pivots():
+            break  # the lattice is all of Z^ncols; no generator can change it
     return h
 
 
@@ -374,6 +383,36 @@ def test_direct_full_and_decomposable_match_elimination():
     assert f0_seen >= 20 and m_seen >= 20
 
 
+def test_direct_quadratic_matches_elimination(monkeypatch):
+    inserts = 0
+    insert = SparseHermite.insert
+
+    def counted(self, row):
+        nonlocal inserts
+        inserts += 1
+        return insert(self, row)
+
+    monkeypatch.setattr(SparseHermite, "insert", counted)
+    certified = eliminated = 0
+    for arr in direct_construction_inputs():
+        betti = arr.betti_mobius()
+        for q in range(arr.n + 1):
+            inserts = 0
+            lat = ideal_lattice(arr, IdealKind.QUADRATIC, q)
+            built_by_elimination = inserts > 0
+            oracle = elimination_oracle(arr, IdealKind.QUADRATIC, q)
+            assert lat.rank == oracle.rank, (arr.normals, q)
+            assert sorted(lat.divisors()) == sorted(oracle.divisors())
+            assert all(oracle.contains(row) for row in lat.hnf.rows_sorted())
+            assert all(lat.contains(row) for row in oracle.rows_sorted())
+            if built_by_elimination:
+                eliminated += 1
+            elif lat.rank == comb(arr.n, q) - (betti[q] if q < len(betti) else 0):
+                certified += 1  # the unit-lead family alone has rank I^q
+    # both the unit-lead certificate and the fallback elimination occur
+    assert certified >= 20 and eliminated >= 20
+
+
 def test_full_rank_check_raises_on_a_wrong_betti_number(monkeypatch):
     from hyparr.arrangement import Arrangement
 
@@ -382,6 +421,55 @@ def test_full_rank_check_raises_on_a_wrong_betti_number(monkeypatch):
     monkeypatch.setattr(Arrangement, "betti_mobius", lambda self: betti[:2] + [betti[2] + 1] + betti[3:])
     with pytest.raises(InternalInvariantViolation):
         ideal_lattice(arr, IdealKind.FULL, 2)
+
+
+def test_quadratic_rank_check_raises_on_a_wrong_betti_number(monkeypatch):
+    # Q^2 = I^2 always, so the unit-lead family of degree 2 already has
+    # C(n, 2) - b_2 rows, one more than the wrong count allows; K4 has
+    # triangles, so its quadratic ideal is not zero
+    from hyparr.arrangement import Arrangement
+
+    arr = from_graph(make_graph(4, itertools.combinations(range(4), 2)))
+    betti = arr.betti_mobius()
+    monkeypatch.setattr(Arrangement, "betti_mobius", lambda self: betti[:2] + [betti[2] + 1] + betti[3:])
+    with pytest.raises(InternalInvariantViolation):
+        ideal_lattice(arr, IdealKind.QUADRATIC, 2)
+
+
+def invariants(arr):
+    from hyparr.hypersolvable import classify, p_order
+
+    cls = classify(arr)
+    table = r_table(arr)
+    return (
+        arr.betti_mobius(),
+        [hilbert(arr, quotient, RATIONALS).coefficients for quotient in ("A", "Abar", "Aplus", "IND")],
+        [f.characteristic for f in table.fields],
+        table.values,
+        p_order(arr),
+        cls.hypersolvable,
+        cls.supersolvable,
+    )
+
+
+def test_invariants_survive_reordering_and_rescaling():
+    # the quadratic certificate depends on the hyperplane order; the
+    # invariants built on it must not, nor on the length of a normal
+    from hyparr.cli import parse_input
+
+    inputs = [parse_input(str(p)) for p in sorted(FIXTURES.iterdir())]
+    inputs += [from_graph(make_graph(6, itertools.combinations(range(6), 2))), coxeter_b(4)]
+    gen = random.Random(1998)
+    inputs += [small_entries(gen, 4, 8) for _ in range(10)]
+    rng = random.Random(2003)
+    for arr in inputs:
+        expected = invariants(arr)
+        normals = [list(v) for v in arr.normals]
+        k = rng.randrange(len(normals))
+        scale = rng.choice((-2, 3))
+        normals[k] = [scale * x for x in normals[k]]
+        rng.shuffle(normals)
+        assert invariants(build(arr.ambient_dim, normals)) == expected, arr.normals
 
 
 def test_mu_matrices_of_6_vertex_graphs_frozen():
