@@ -2,21 +2,29 @@
 
 An arrangement is an ordered list of nonzero integer normal vectors, no two
 proportional, in a fixed ambient dimension; it is the single source of
-truth for ranks, circuits, flats and everything built on top.  Graphic
-arrangements remember their source graph, which routes subset-rank queries
-through a union-find shortcut (cross-checked against the generic
-elimination in the test suite).
+truth for ranks, circuits, flats and everything built on top.
+
+The matroid data comes from one exact step, ``_reduce``: an integer vector
+reduced by one more echelon row, fraction-free, kept primitive and
+sign-normalized.  The residuals of the hyperplanes outside a flat group
+them into its covers; the residuals of the hyperplanes after an
+independent set say which of them extend it, and the residuals modulo
+each atom group the others into the lines through it.  Graphic
+arrangements remember their source graph for reporting.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import cached_property
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError
 from .graphs import Graph
 from .intlinalg import int_rank
+
+Vector = tuple[int, ...]
 
 
 class Arrangement:
@@ -54,12 +62,13 @@ class Arrangement:
             raise InputError("label count does not match hyperplane count")
         self.labels = tuple(str(s) for s in labels)
         self.source_graph = source_graph
-        self._rank_cache: dict[frozenset[int], int] = {}
         self._circuits: list[tuple[int, ...]] = []
-        self._circuit_masks: list[int] = []
-        self._circuits_upto = -1
+        # _independent[k]: masks of the independent k-sets built so far;
+        # _frontier: the largest of them as (sorted set, mask, residuals of
+        # the hyperplanes after its maximum)
+        self._independent: list[set[int]] = [{0}]
+        self._frontier: list[tuple[tuple[int, ...], int, list]] = [((), 0, list(self._atoms))]
         self._lattice = None
-        self._pair_closures: list[list[int]] | None = None
         self.cache: dict = {}  # scratch space for higher layers (os data etc.)
 
     @property
@@ -81,76 +90,84 @@ class Arrangement:
         return int_rank([self.normals[i] for i in s])
 
     def rank(self) -> int:
-        return self._rank(frozenset(range(self.n)))
+        return self._full_rank
 
-    def _rank(self, s: frozenset[int]) -> int:
-        hit = self._rank_cache.get(s)
-        if hit is not None:
-            return hit
-        if self.source_graph is not None:
-            r = self._graphic_rank(s)
-        else:
-            r = int_rank([self.normals[i] for i in s])
-        self._rank_cache[s] = r
-        return r
+    @cached_property
+    def _full_rank(self) -> int:
+        return int_rank(self.normals)
 
-    def _graphic_rank(self, s: frozenset[int]) -> int:
-        # rank of an edge set = touched vertices - components (union-find)
-        parent: dict[int, int] = {}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        edges = self.source_graph.edges
-        comps = 0
-        verts = 0
-        for i in s:
-            u, v = edges[i]
-            for w in (u, v):
-                if w not in parent:
-                    parent[w] = w
-                    verts += 1
-                    comps += 1
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-                comps -= 1
-        return verts - comps
+    @cached_property
+    def _atoms(self) -> tuple[Vector, ...]:
+        """The normals divided by their content, first nonzero entry positive."""
+        return tuple(_primitive(v) for v in self.normals)
 
     def is_dependent(self, s: Iterable[int]) -> bool:
-        s = frozenset(s)
-        return self._rank(s) < len(s)
+        m = _mask(s)
+        if m >> self.n:
+            raise InputError(f"hyperplane index {m.bit_length() - 1} out of range")
+        k = m.bit_count()
+        if k > self._full_rank:
+            return True
+        # a single query does not grow the table
+        table = self._independent
+        if k < len(table):
+            return m not in table[k]
+        return self.subset_rank(_indices(m)) < k
+
+    def independent_sets(self, size: int) -> set[int]:
+        """Masks of the independent sets of the given size, at most rank + 1.
+
+        Shared with ``is_dependent``, so never mutate it.  The table grows
+        one size at a time and is kept for the arrangement's lifetime.
+        Each independent k-set T is reached once, from its sorted prefix,
+        carrying the residuals modulo span(T) of the hyperplanes h > max T.
+        T + h is independent iff h's
+        residual is nonzero, and a circuit iff it is zero and every k-subset
+        of T + h is in the table; the circuits of size k + 1 are recorded on
+        the way, in lexicographic order because the frontier stays sorted.
+        """
+        table = self._independent
+        while len(table) <= size:
+            below = table[-1]
+            bases = len(table) == self.rank()  # the new sets extend no further
+            grown: set[int] = set()
+            frontier = []
+            for t, m, res in self._frontier:
+                start = self.n - len(res)
+                for j, v in enumerate(res):
+                    h = start + j
+                    if v is None:
+                        if all((m ^ 1 << x) | 1 << h in below for x in t):
+                            self._circuits.append(t + (h,))
+                        continue
+                    rest = res[j + 1 :]
+                    if bases:
+                        rest = [None] * len(rest)
+                    else:
+                        k = _pivot(v)
+                        rest = [None if x is None else _reduce(x, v, k) for x in rest]
+                    grown.add(m | 1 << h)
+                    frontier.append((t + (h,), m | 1 << h, rest))
+            table.append(grown)
+            self._frontier = frontier
+        return table[size]
 
     # --------------------------------------------------------- circuits
 
     def circuits(self, max_size: int | None = None) -> list[tuple[int, ...]]:
-        """All circuits of size <= max_size, lexicographically sorted.
+        """All circuits of size <= max_size, by size, then lexicographically.
 
         A circuit has size at most rank+1, so the enumeration never looks
-        past that.  Minimality comes for free from the ascending sweep: a
-        dependent set containing no smaller circuit is itself a circuit.
+        past that.  The circuits of size k + 1 are found while the
+        independent-set table grows from size k to k + 1, so the cache is
+        complete up to the largest size the table holds.
         """
         if max_size is None:
             max_size = self.n
         if max_size > self.n:
             raise InputError(f"max_size {max_size} exceeds {self.n} hyperplanes")
-        cap = min(max_size, self.rank() + 1)
-        found = self._circuits
-        masks = self._circuit_masks
-        # sizes up to _circuits_upto are complete; extend from there
-        for size in range(max(3, self._circuits_upto + 1), cap + 1):
-            for combo in itertools.combinations(range(self.n), size):
-                m = _mask(combo)
-                if any(cm & m == cm for cm in masks):
-                    continue
-                if self.is_dependent(combo):
-                    found.append(combo)
-                    masks.append(m)
-        self._circuits_upto = max(self._circuits_upto, cap)
-        return [c for c in found if len(c) <= max_size]
+        self.independent_sets(max(0, min(max_size, self.rank() + 1)))
+        return [c for c in self._circuits if len(c) <= max_size]
 
     def has_chord(self, circuit: Sequence[int]) -> bool:
         """True when some c outside splits the set into two dependent halves."""
@@ -199,20 +216,30 @@ class Arrangement:
     def pair_closures(self) -> list[list[int]]:
         """The collinearity table: ``line[a][b]`` is the int mask of cl{a, b}.
 
-        For a != b that is the rank-2 flat through a and b; ``line[a][a]`` is
-        the single bit of a.  Shared by every caller, so never mutate it.
+        For a != b that is the rank-2 flat through a and b: a together with
+        the hyperplanes whose residual modulo a equals b's.  ``line[a][a]``
+        is the single bit of a.  Shared by every caller, so never mutate it.
         """
-        if self._pair_closures is None:
-            n = self.n
-            line = [[1 << i if i == j else 0 for j in range(n)] for i in range(n)]
-            for i, j in itertools.combinations(range(n), 2):
-                m = 1 << i | 1 << j
-                for h in range(n):
-                    if h != i and h != j and self._rank(frozenset((i, j, h))) == 2:
-                        m |= 1 << h
-                line[i][j] = line[j][i] = m
-            self._pair_closures = line
-        return self._pair_closures
+        return self._lines
+
+    @cached_property
+    def _lines(self) -> list[list[int]]:
+        atoms = self._atoms
+        line = []
+        for a, p in enumerate(atoms):
+            k = _pivot(p)
+            groups: dict[Vector, int] = {}
+            for h, v in enumerate(atoms):
+                if h != a:
+                    r = _reduce(v, p, k)
+                    groups[r] = groups.get(r, 1 << a) | 1 << h
+            row = [0] * self.n
+            for m in groups.values():
+                for h in _indices(m):
+                    row[h] = m
+            row[a] = 1 << a
+            line.append(row)
+        return line
 
     def intersection_lattice(self) -> "IntersectionLattice":
         if self._lattice is None:
@@ -226,6 +253,41 @@ class Arrangement:
         for flat in lat.flats:
             out[lat.rank_of[flat]] += abs(lat.mobius[flat])
         return out
+
+
+def _primitive(v: Sequence[int]) -> Vector | None:
+    """v divided by its content, first nonzero entry positive; None for 0."""
+    g = gcd(*v)
+    if not g:
+        return None
+    for x in v:
+        if x:
+            if x < 0:
+                g = -g
+            break
+    return tuple(v) if g == 1 else tuple(x // g for x in v)
+
+
+def _pivot(p: Vector) -> int:
+    return next(i for i, x in enumerate(p) if x)
+
+
+def _reduce(v: Vector, p: Vector, k: int) -> Vector | None:
+    """The primitive residual of v modulo one more echelon row p.
+
+    Column k is p's pivot, its first nonzero entry.  Fraction-free: the
+    residual spans the same line as ``p[k] * v - v[k] * p`` with column k,
+    now zero, dropped.  Residuals reduced by the same rows share their
+    coordinates: two are equal iff their vectors span the same line modulo
+    the span of the rows, and a residual is None iff its vector lies in it.
+    """
+    c = v[k]
+    if not c:
+        return v[:k] + v[k + 1 :]
+    a = p[k]
+    w = [a * x - c * y for x, y in zip(v, p)]
+    del w[k]
+    return _primitive(w)
 
 
 def _proportional(a: Sequence[int], b: Sequence[int]) -> bool:
@@ -260,9 +322,13 @@ class IntersectionLattice:
     """All flats of the arrangement with ranks, Mobius values and joins.
 
     Flats are frozensets of hyperplane indices; the order relation is
-    containment.  Built level by level: the covers of a flat F are the
-    closures cl(F + h), computed once each by skipping every h that lies in
-    a cover already found for F.
+    containment.  Built level by level from residuals: each flat F carries
+    the residual modulo span(F) of every hyperplane outside F, and the
+    hyperplanes with equal residuals are exactly one cover G - F.  A new
+    cover's residuals are one ``_reduce`` step of F's, so no rank is
+    computed.  The lower covers are kept as tuples of flat indices, and
+    ``mobius`` is Weisner's recursion over them: for a fixed atom a <= X,
+    mu(X) = -sum mu(Y) over the covers Y of X that miss a.
 
     Supersolvability (a maximal chain of modular flats) is decided by the
     modular-coatom criterion instead of by the definition: a coatom Y of a
@@ -271,51 +337,84 @@ class IntersectionLattice:
     "Hyperplane arrangements with a lattice of regions", 1990).  A modular
     element of [0, X] with X modular is modular in the whole lattice
     (Stanley, "Modular elements of geometric lattices", 1971), so a chain
-    exists iff some modular coatom has one below it.  ``is_modular`` keeps
-    the definition (rank additivity against every flat) as a test oracle.
+    exists iff some modular coatom has one below it.  ``closure``, ``join``
+    and ``is_modular`` keep the definitions (ranks by elimination, rank
+    additivity against every flat) as test oracles.
     """
 
     def __init__(self, arr: Arrangement):
-        self.arr = arr
-        n = arr.n
-        levels: list[set[frozenset[int]]] = [{self.closure(frozenset())}]
+        # the normals and the collinearity table, not the arrangement, which
+        # holds the lattice: a reference cycle would keep every arrangement
+        # and its caches alive until a full garbage collection
+        self._normals = arr.normals
+        self._ranks: dict[frozenset[int], int] = {}
+        self._lines = arr.pair_closures()
+        self.flats: list[frozenset[int]] = [frozenset()]
+        self.rank_of: dict[frozenset[int], int] = {frozenset(): 0}
+        self._masks = [0]
+        self._lower: list[tuple[int, ...]] = [()]
+        coatom = arr.rank() - 1
+        # residuals of the rank-r flats, which start at index first
+        level: list[list[Vector | None]] = [list(arr._atoms)]
+        first = r = 0
         while True:
-            nxt: set[frozenset[int]] = set()
-            for flat in levels[-1]:
-                # cl(F + h') is the same cover G for every h' in G - F
-                covered = set(flat)
-                for h in range(n):
-                    if h not in covered:
-                        cover = self.closure(flat | {h})
-                        nxt.add(cover)
-                        covered |= cover
-            if not nxt:
+            covers: dict[int, tuple[list, list[int]]] = {}
+            for i, res in enumerate(level, first):
+                groups: dict[Vector, int] = {}
+                for h, v in enumerate(res):
+                    if v is not None:
+                        groups[v] = groups.get(v, self._masks[i]) | 1 << h
+                for v, g in groups.items():
+                    hit = covers.get(g)
+                    if hit is not None:
+                        hit[1].append(i)
+                    elif r + 1 < coatom:
+                        k = _pivot(v)
+                        covers[g] = (
+                            [None if g >> h & 1 else _reduce(x, v, k) for h, x in enumerate(res)],
+                            [i],
+                        )
+                    else:
+                        # a coatom and any hyperplane outside it span the
+                        # top, so one shared residual groups them all
+                        covers[g] = ([None if g >> h & 1 else () for h in range(len(res))], [i])
+            if not covers:
                 break
-            levels.append(nxt)
-        self.flats: list[frozenset[int]] = []
-        self.rank_of: dict[frozenset[int], int] = {}
-        for r, level in enumerate(levels):
-            for flat in sorted(level, key=sorted):
+            r += 1
+            first = len(self.flats)
+            level = []
+            for indices, g in sorted((_indices(g), g) for g in covers):
+                res, lower = covers[g]
+                flat = frozenset(indices)
                 self.flats.append(flat)
                 self.rank_of[flat] = r
+                self._masks.append(g)
+                self._lower.append(tuple(lower))
+                level.append(res)
         self._join_cache: dict[tuple[frozenset, frozenset], frozenset] = {}
 
+    def _rank(self, s: frozenset[int]) -> int:
+        r = self._ranks.get(s)
+        if r is None:
+            r = self._ranks[s] = int_rank([self._normals[i] for i in s])
+        return r
+
     def closure(self, s: frozenset[int]) -> frozenset[int]:
-        arr = self.arr
-        r = arr._rank(s)
+        r = self._rank(s)
         out = set(s)
-        for h in range(arr.n):
-            if h not in out and arr._rank(s | {h}) == r:
+        for h in range(len(self._normals)):
+            if h not in out and self._rank(s | {h}) == r:
                 out.add(h)
         return frozenset(out)
 
     @cached_property
     def mobius(self) -> dict[frozenset[int], int]:
-        mob: dict[frozenset[int], int] = {}
-        for flat in self.flats:  # rank-ascending order
-            below = sum(mob[g] for g in mob if g < flat)
-            mob[flat] = 1 if self.rank_of[flat] == 0 else -below
-        return mob
+        masks = self._masks
+        mu = [1]
+        for x, lower in zip(masks[1:], self._lower[1:]):  # rank-ascending order
+            atom = x & -x
+            mu.append(-sum(mu[y] for y in lower if not masks[y] & atom))
+        return dict(zip(self.flats, mu))
 
     def join(self, x: frozenset[int], y: frozenset[int]) -> frozenset[int]:
         key = (x, y) if sorted(x) <= sorted(y) else (y, x)
@@ -340,11 +439,11 @@ class IntersectionLattice:
         and rank-2 closures as int bitmasks; a flat whose interval has no
         chain is recorded and never searched again.
         """
-        n = self.arr.n
-        line = self.arr.pair_closures()
+        n = len(self._normals)
+        line = self._lines
         by_rank: list[list[int]] = [[] for _ in range(self.rank_of[self.flats[-1]] + 1)]
-        for flat in self.flats:
-            by_rank[self.rank_of[flat]].append(_mask(flat))
+        for flat, m in zip(self.flats, self._masks):
+            by_rank[self.rank_of[flat]].append(m)
         dead: set[int] = set()
 
         def modular_coatom(y: int, x: int) -> bool:
@@ -372,3 +471,13 @@ def _mask(indices: Iterable[int]) -> int:
     for i in indices:
         m |= 1 << i
     return m
+
+
+def _indices(m: int) -> tuple[int, ...]:
+    """The set bits of m, ascending."""
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return tuple(out)

@@ -31,6 +31,10 @@ from .report import (
 GRAPHIC_VERTEX_BOUND = 8
 RANDOM_SIZE_BOUND = 12
 RANDOM_DIM_BOUND = 6
+# hyperplanes; admits K7 (21) and every fixture.  It limits n only: the
+# cost also grows with the rank, and for 2-generic inputs with the dense mu
+# matrix (24 general lines in the plane need more than 3 GiB)
+ANALYZE_SIZE_BOUND = 24
 
 
 def parse_input(path: str, fmt: str | None = None) -> Arrangement:
@@ -135,6 +139,10 @@ def _parse_fields(spec: str | None):
 def cmd_analyze(args) -> int:
     started = time.monotonic()
     arr = parse_input(args.input, args.format)
+    if arr.n > ANALYZE_SIZE_BOUND:
+        raise InputError(
+            f"analyze is bounded at {ANALYZE_SIZE_BOUND} hyperplanes, got {arr.n}"
+        )
     cls = classify(arr)
     doc, qualified = build_report(arr, cls, _parse_fields(args.fields))
     if args.json:

@@ -170,8 +170,9 @@ def _unit_rows(a: Arrangement, kind: IdealKind, q: int):
         for col in range(comb(n, q)):
             yield {col: 1}
     else:
+        independent = a.independent_sets(q)
         for col, T in enumerate(basis(n, q)):
-            if len(T) > 0 and a.is_dependent(T):
+            if _mask(T) not in independent:
                 yield {col: 1}
 
 

@@ -10,7 +10,6 @@ from hyparr.arrangement import build, from_graph
 from hyparr.cli import _random_2generic_instances, parse_input
 from hyparr.errors import InputError
 from hyparr.graphs import chromatic_polynomial, connected_graph_reps, make_graph
-from hyparr.intlinalg import int_rank
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -135,12 +134,28 @@ def test_subset_rank():
         assert arr7.subset_rank(combo) == 4
 
 
+def forest_rank(graph, s):
+    """Touched vertices minus connected components (union-find)."""
+    parent = {}
+
+    def find(x):
+        while parent.setdefault(x, x) != x:
+            x = parent[x]
+        return x
+
+    for i in s:
+        u, v = graph.edges[i]
+        parent[find(u)] = find(v)
+    return len(parent) - len({find(x) for x in parent})
+
+
 def test_graphic_rank_matches_elimination():
     rng = random.Random(8)
     arr = from_graph(THETA)
     for _ in range(80):
         s = frozenset(i for i in range(arr.n) if rng.random() < 0.5)
-        assert arr._rank(s) == int_rank([arr.normals[i] for i in s])
+        assert arr.subset_rank(s) == forest_rank(THETA, s)
+        assert arr.is_dependent(s) == (forest_rank(THETA, s) < len(s))
 
 
 def test_circuits_k3():
@@ -163,20 +178,29 @@ def test_circuits_theta():
     assert sizes == [4, 4, 6]
 
 
+def random_normals(rng, dim, count):
+    """`count` non-proportional nonzero vectors with entries in -2..2."""
+    vecs = []
+    while len(vecs) < count:
+        v = tuple(rng.randint(-2, 2) for _ in range(dim))
+        if not any(v):
+            continue
+        try:
+            build(dim, vecs + [v])
+        except InputError:
+            continue
+        vecs.append(v)
+    return vecs
+
+
 def test_circuits_match_bruteforce_scan():
     rng = random.Random(420)
-    for _ in range(10):
-        dim = rng.randint(2, 4)
-        vecs = []
-        while len(vecs) < rng.randint(2, 7):
-            v = tuple(rng.randint(-2, 2) for _ in range(dim))
-            if not any(v):
-                continue
-            try:
-                build(dim, vecs + [v])
-            except InputError:
-                continue
-            vecs.append(v)
+    inputs = [random_normals(rng, rng.randint(2, 4), rng.randint(2, 7)) for _ in range(10)]
+    # ranks 5 and 6, where circuits of several sizes mix
+    inputs += [random_normals(rng, dim, count) for dim in (5, 6) for count in (7, 8, 9)]
+    assert {build(len(v[0]), v).rank() for v in inputs} >= {5, 6}
+    for vecs in inputs:
+        dim = len(vecs[0])
         arr = build(dim, vecs)
         # oracle: dependent sets all of whose proper subsets are independent
         expect = []
@@ -194,7 +218,8 @@ def test_circuits_match_bruteforce_scan():
         assert build(dim, vecs).smallest_dependent_size() == min(map(len, expect), default=None)
         for size in range(1, arr.n + 1):
             assert arr.circuits(size) == [c for c in fresh if len(c) <= size]
-        assert arr.circuits() == sorted(expect)
+        # by size, then lexicographically
+        assert arr.circuits() == sorted(expect, key=lambda c: (len(c), c))
 
 
 def test_graphic_circuits_are_cycles():
@@ -311,18 +336,20 @@ def test_rank_function_properties():
         assert arr.subset_rank([i]) == 1
     for s in subsets:
         for t in subsets:
-            rs, rt = arr._rank(s), arr._rank(t)
-            assert arr._rank(s | t) + arr._rank(s & t) <= rs + rt  # submodular
+            rs, rt = arr.subset_rank(s), arr.subset_rank(t)
+            assert arr.subset_rank(s | t) + arr.subset_rank(s & t) <= rs + rt  # submodular
             if s <= t:
                 assert rs <= rt  # monotone
 
 
 def test_circuit_definition_exhaustive():
+    # subset_rank eliminates afresh; is_dependent reads the table that
+    # the circuit enumeration fills, so it would not be an independent check
     arr = build(4, TWOGEN6)
     for c in arr.circuits():
-        assert arr.is_dependent(c)
+        assert arr.subset_rank(c) < len(c)
         for sub in itertools.combinations(c, len(c) - 1):
-            assert not arr.is_dependent(sub)
+            assert arr.subset_rank(sub) == len(sub)
 
 
 def test_c_and_genericity():
@@ -450,3 +477,115 @@ def test_mobius_is_lazy_and_keeps_identities():
     # chromatic polynomial k(k-1)(k-2)(k-3) of K4; B3 has exponents 1, 3, 5
     assert from_graph(K4).betti_mobius() == [1, 6, 11, 6]
     assert coxeter_b(3).betti_mobius() == [1, 9, 23, 15]
+
+
+# ----------------------------- residual routes vs the definitions they replace
+
+
+def small_entries(gen, dim, draws):
+    """The arrangement of `draws` random {-1,0,1} vectors, dropping zero and -v."""
+    vecs = {tuple(gen.randint(-1, 1) for _ in range(dim)) for _ in range(draws)}
+    normals = []
+    for v in sorted(vecs):
+        if any(v) and tuple(-x for x in v) not in normals:
+            normals.append(v)
+    return build(dim, normals)
+
+
+def differential_inputs():
+    """The 6-vertex corpus, fixtures, B3, B4, 40 seeded {-1,0,1} inputs and
+    10 random 2-generic instances, each also with its hyperplanes shuffled."""
+
+    def base():
+        yield from (from_graph(g) for g in connected_graph_reps(6))
+        yield from (parse_input(str(p)) for p in sorted(FIXTURES.iterdir()))
+        yield coxeter_b(3)
+        yield coxeter_b(4)
+        gen = random.Random(1933)
+        for _ in range(40):
+            yield small_entries(gen, gen.choice((3, 4, 5)), gen.randint(4, 10))
+        for _key, dim, normals in _random_2generic_instances(11, 10, 10):
+            yield build(dim, normals)
+
+    rng = random.Random(1964)
+    for arr in base():
+        yield arr
+        yield shuffled(arr, rng)
+
+
+def flats_by_closures(arr):
+    """The closure-per-candidate level build: flats in order, with ranks."""
+    n = arr.n
+    lat = arr.intersection_lattice()  # only for its closure oracle
+    levels = [{lat.closure(frozenset())}]
+    while True:
+        nxt = set()
+        for flat in levels[-1]:
+            covered = set(flat)
+            for h in range(n):
+                if h not in covered:
+                    cover = lat.closure(flat | {h})
+                    nxt.add(cover)
+                    covered |= cover
+        if not nxt:
+            return [(f, r) for r, level in enumerate(levels) for f in sorted(level, key=sorted)]
+        levels.append(nxt)
+
+
+def mobius_by_definition(lat):
+    """mu(X) = -sum of mu(Y) over every flat Y < X."""
+    mob = {}
+    for flat in lat.flats:
+        mob[flat] = 1 if not flat else -sum(m for g, m in mob.items() if g < flat)
+    return mob
+
+
+def subset_scan(arr):
+    """Dependence of every subset of size <= rank + 1 by a fresh elimination."""
+    top = arr.subset_rank(range(arr.n))
+    return {
+        combo: arr.subset_rank(combo) < len(combo)
+        for size in range(top + 2)
+        for combo in itertools.combinations(range(arr.n), size)
+    }
+
+
+def test_residual_routes_match_definitions():
+    seen = 0
+    for arr in differential_inputs():
+        lat = arr.intersection_lattice()
+        expect = flats_by_closures(arr)
+        assert lat.flats == [f for f, _ in expect], arr.normals
+        assert lat.rank_of == dict(expect)
+        assert lat.mobius == mobius_by_definition(lat)
+        assert list(lat.mobius) == lat.flats
+
+        dependent = subset_scan(arr)
+        circuits = [
+            s for s, dep in dependent.items()
+            if dep and not any(dependent[t] for t in itertools.combinations(s, len(s) - 1))
+        ]
+        assert arr.circuits() == circuits
+        # circuits() filled the table up to rank + 1, so these are lookups
+        assert len(arr._independent) == min(arr.n, arr.rank() + 1) + 1
+        assert all(arr.is_dependent(s) == dep for s, dep in dependent.items()), arr.normals
+        line = arr.pair_closures()
+        for a, b in itertools.combinations(range(arr.n), 2):
+            cl = {a, b} | {h for h in range(arr.n) if dependent.get(tuple(sorted({a, b, h})), False)}
+            assert line[a][b] == line[b][a] == sum(1 << h for h in cl)
+        assert all(line[a][a] == 1 << a for a in range(arr.n))
+        seen += 1
+    assert seen == 2 * (143 + 7 + 2 + 40 + 10)
+
+
+def test_single_dependence_query_does_not_grow_the_table():
+    arr = from_graph(make_graph(6, list(itertools.combinations(range(6), 2))))
+    assert len(arr._independent) == 1
+    assert arr.is_dependent([0, 1, 5])  # the triangle 0-1-2
+    assert not arr.is_dependent([0, 1, 2, 3, 4])  # a spanning tree
+    assert len(arr._independent) == 1
+    arr.circuits(3)
+    assert len(arr._independent) == 4
+    assert arr.is_dependent([0, 1, 5]) and not arr.is_dependent([0, 1, 2])
+    assert not arr.is_dependent([0, 1, 2, 3, 4])
+    assert len(arr._independent) == 4

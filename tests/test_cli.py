@@ -315,6 +315,24 @@ def test_search_bounds(capsys, tmp_path):
                  "--output", str(tmp_path / "y.jsonl")]) == 1
 
 
+def test_analyze_bound_rejects_before_any_work(monkeypatch, capsys, tmp_path):
+    import itertools
+
+    import hyparr.cli as cli
+
+    def refuse(arr):
+        raise AssertionError("classify ran on an input over the bound")
+
+    monkeypatch.setattr(cli, "classify", refuse)
+    k8 = "graph 8\n" + "".join(f"{u} {v}\n" for u, v in itertools.combinations(range(1, 9), 2))
+    assert main(["analyze", "--input", write(tmp_path, "k8.graph", k8)]) == 1
+    err = capsys.readouterr().err
+    assert f"analyze is bounded at {cli.ANALYZE_SIZE_BOUND} hyperplanes, got 28" in err
+    # K7 (21 hyperplanes, the largest benchmark input is 17) and every fixture fit
+    sizes = [parse_input(str(p)).n for p in FIXTURES.iterdir()]
+    assert max(sizes + [21]) <= cli.ANALYZE_SIZE_BOUND
+
+
 # ------------------------------------------------------------- serializer
 
 

@@ -25,6 +25,7 @@ from hyparr.intlinalg import (
     mat_mul,
     prime_factors,
     quotient_invariants,
+    rank_mod_p,
     rank_over_field,
     smith_normal_form,
     snf_divisors,
@@ -235,6 +236,39 @@ def test_snf_divisors_fast_path_agrees():
         assert snf_divisors(m) == smith_normal_form(m).divisors
     # sparse-dict input form
     assert snf_divisors([{0: 2, 1: 4}, {0: 6, 1: 8}]) == [2, 4]
+
+
+def sparse_or_skewed(rng):
+    """A random matrix that is mostly zero, or lopsided in shape and in size."""
+    if rng.random() < 0.5:
+        nr, nc = rng.randint(1, 9), rng.randint(1, 9)
+        entries = (0,) * 8 + (-3, -2, -1, 1, 1, 2, 3)
+        return [[rng.choice(entries) for _ in range(nc)] for _ in range(nr)]
+    nr, nc = rng.choice(((1, 9), (9, 1), (2, 8), (8, 3), (7, 7)))
+    # each row and column scaled by its own factor: divisors far from 1
+    rows = [rng.choice((1, 2, 6, 30, 210, 10**12)) for _ in range(nr)]
+    cols = [rng.choice((1, 3, 35, 2**40)) for _ in range(nc)]
+    return [[rng.randint(-2, 2) * r * c for c in cols] for r in rows]
+
+
+def test_sparse_routes_match_dense_smith_form():
+    rng = random.Random(1861)
+    nonunit = 0
+    for _ in range(150):
+        m = sparse_or_skewed(rng)
+        divs = smith_normal_form(m).divisors
+        sparse = [{j: v for j, v in enumerate(row) if v} for row in m]
+        assert snf_divisors(m) == divs, m
+        assert snf_divisors(sparse) == divs, m
+        h = SparseHermite()
+        for row in sparse:
+            h.insert(row)
+        assert h.rank == len(divs), m
+        assert sorted(h.divisors()) == sorted(divs), m
+        for p in (2, 3, 5, 7):
+            assert rank_mod_p(sparse, p) == sum(1 for d in divs if d % p), (m, p)
+        nonunit += any(d > 1 for d in divs)
+    assert nonunit >= 30
 
 
 # -------------------------------------------------------------- hermite

@@ -472,6 +472,53 @@ def test_invariants_survive_reordering_and_rescaling():
         assert invariants(build(arr.ambient_dim, normals)) == expected, arr.normals
 
 
+def unimodular(rng, d):
+    """A seeded random matrix of GL_d(Z): row shears, then a signed row permutation."""
+    m = [[int(i == j) for j in range(d)] for i in range(d)]
+    for _ in range(3 * d if d > 1 else 0):
+        i, j = rng.sample(range(d), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        m[i] = [x + c * y for x, y in zip(m[i], m[j])]
+    rng.shuffle(m)
+    return [[rng.choice((-1, 1)) * x for x in row] for row in m]
+
+
+def matroid_data(arr):
+    lat = arr.intersection_lattice()
+    return (
+        lat.flats,
+        lat.rank_of,
+        lat.mobius,
+        arr.circuits(),
+        arr.pair_closures(),
+        lat.has_modular_chain(),
+    )
+
+
+def test_invariants_survive_a_change_of_coordinates():
+    # the matroid layer reduces the normals in their coordinates; nothing
+    # it returns, and nothing built on it, may depend on those coordinates
+    from hyparr.cli import parse_input
+
+    inputs = [parse_input(str(p)) for p in sorted(FIXTURES.iterdir())]
+    inputs += [from_graph(make_graph(6, itertools.combinations(range(6), 2))), coxeter_b(4)]
+    gen = random.Random(1931)
+    inputs += [small_entries(gen, 4, 8) for _ in range(10)]
+    rng = random.Random(1937)
+    for arr in inputs:
+        expected = (matroid_data(arr), invariants(arr))
+        d = arr.ambient_dim
+        m = unimodular(rng, d)
+        moved = [[sum(m[i][j] * v[j] for j in range(d)) for i in range(d)] for v in arr.normals]
+        scaled = [list(v) for v in arr.normals]
+        k = rng.randrange(len(scaled))
+        scale = rng.choice((-3, -2, 2, 5))
+        scaled[k] = [scale * x for x in scaled[k]]
+        for normals in (moved, scaled):
+            copy = build(d, normals)
+            assert (matroid_data(copy), invariants(copy)) == expected, (arr.normals, normals)
+
+
 def test_mu_matrices_of_6_vertex_graphs_frozen():
     # sha256 recorded with the elimination-built ideal bases; the mu matrix
     # is written in the full ideal's basis, so it pins the basis rows too
