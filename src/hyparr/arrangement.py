@@ -105,6 +105,9 @@ class Arrangement:
         m = _mask(s)
         if m >> self.n:
             raise InputError(f"hyperplane index {m.bit_length() - 1} out of range")
+        return self._dependent(m)
+
+    def _dependent(self, m: int) -> bool:
         k = m.bit_count()
         if k > self._full_rank:
             return True
@@ -170,18 +173,25 @@ class Arrangement:
         return [c for c in self._circuits if len(c) <= max_size]
 
     def has_chord(self, circuit: Sequence[int]) -> bool:
-        """True when some c outside splits the set into two dependent halves."""
-        cset = list(circuit)
-        others = [c for c in range(self.n) if c not in circuit]
-        k = len(cset)
-        for c in others:
-            # partitions with cset[0] pinned to the first part
-            for bits in range(1 << (k - 1)):
-                part1 = [cset[0]] + [cset[i + 1] for i in range(k - 1) if bits >> i & 1]
-                if len(part1) == k:
-                    continue
-                part2 = [x for x in cset if x not in part1]
-                if self.is_dependent(part1 + [c]) and self.is_dependent(part2 + [c]):
+        """True when some c outside splits the set into two dependent halves.
+
+        Splits are int masks with the first element pinned to one half; after
+        ``circuits(len(circuit))`` every dependence test is a table lookup.
+        """
+        whole = _mask(circuit)
+        first = whole & -whole
+        rest = whole ^ first
+        dependent = self._dependent
+        for c in range(self.n):
+            bit = 1 << c
+            if whole & bit:
+                continue
+            # the submasks of rest other than rest itself, so both halves are nonempty
+            sub = rest
+            while sub:
+                sub = (sub - 1) & rest
+                half = first | sub
+                if dependent(half | bit) and dependent((whole ^ half) | bit):
                     return True
         return False
 
@@ -439,31 +449,39 @@ class IntersectionLattice:
         and rank-2 closures as int bitmasks; a flat whose interval has no
         chain is recorded and never searched again.
         """
-        n = len(self._normals)
         line = self._lines
         by_rank: list[list[int]] = [[] for _ in range(self.rank_of[self.flats[-1]] + 1)]
         for flat, m in zip(self.flats, self._masks):
             by_rank[self.rank_of[flat]].append(m)
-        dead: set[int] = set()
+        return _chain_below(line, by_rank, set(), by_rank[-1][0], len(by_rank) - 1)
 
-        def modular_coatom(y: int, x: int) -> bool:
-            rest = [h for h in range(n) if (x & ~y) >> h & 1]
-            return all(
-                line[a][b] & y for i, a in enumerate(rest) for b in rest[i + 1 :]
-            )
 
-        def chain_below(x: int, r: int) -> bool:
-            if r == 0:
-                return True
-            if x in dead:
-                return False
-            for y in by_rank[r - 1]:
-                if y & ~x == 0 and modular_coatom(y, x) and chain_below(y, r - 1):
-                    return True
-            dead.add(x)
-            return False
+def _chain_below(
+    line: list[list[int]], by_rank: list[list[int]], dead: set[int], x: int, r: int
+) -> bool:
+    """A chain of modular flats from the rank-r flat x down to the bottom.
 
-        return chain_below(by_rank[-1][0], len(by_rank) - 1)
+    Flats whose interval has no chain are added to ``dead``.
+    """
+    if r == 0:
+        return True
+    if x in dead:
+        return False
+    for y in by_rank[r - 1]:
+        if (
+            y & ~x == 0
+            and _modular_coatom(line, y, x)
+            and _chain_below(line, by_rank, dead, y, r - 1)
+        ):
+            return True
+    dead.add(x)
+    return False
+
+
+def _modular_coatom(line: list[list[int]], y: int, x: int) -> bool:
+    """y is modular in [0, x]: every line through two of x - y meets y."""
+    rest = _indices(x & ~y)
+    return all(line[a][b] & y for i, a in enumerate(rest) for b in rest[i + 1 :])
 
 
 def _mask(indices: Iterable[int]) -> int:

@@ -32,8 +32,8 @@ GRAPHIC_VERTEX_BOUND = 8
 RANDOM_SIZE_BOUND = 12
 RANDOM_DIM_BOUND = 6
 # hyperplanes; admits K7 (21) and every fixture.  It limits n only: the
-# cost also grows with the rank, and for 2-generic inputs with the dense mu
-# matrix (24 general lines in the plane need more than 3 GiB)
+# cost also grows with the rank (24 general lines in the plane, rank 3, take
+# ~2.4 s and ~56 MiB; high-rank inputs of this size are unmeasured)
 ANALYZE_SIZE_BOUND = 24
 
 

@@ -21,12 +21,13 @@ fourth, combinatorial route.
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from math import comb
 
 from .arrangement import Arrangement
 from .errors import InternalInvariantViolation, PreconditionError
-from .exterior import from_coordinates, generator, wedge
+from .exterior import basis, basis_index
 from .hypersolvable import Classification, classify
 from .intlinalg import (
     AbelianInvariants,
@@ -56,7 +57,18 @@ class MuPresentation:
     gr0_rank: int
     row_basis: list[tuple[int, int]]  # (index into the gr0 basis, hyperplane)
     col_basis: list[str]
-    matrix: list[list[int]]  # len(row_basis) x len(col_basis)
+    rows: list[dict[int, int]]  # one per row_basis entry; keys index col_basis
+
+    @property
+    def matrix(self) -> list[list[int]]:
+        """The dense len(row_basis) x len(col_basis) matrix, built on access."""
+        dense = []
+        for row in self.rows:
+            line = [0] * len(self.col_basis)
+            for k, v in row.items():
+                line[k] = v
+            dense.append(line)
+        return dense
 
 
 @dataclass
@@ -174,7 +186,8 @@ def mu_presentation(a: Arrangement) -> MuPresentation:
 
     Rows run over (basis element of (I/I_2)^{p+1}) x (hyperplane), columns
     over the basis of (Lambda/I_2)^{p+2}; the sign convention is the plain
-    wedge product (the reported invariants do not depend on it).
+    wedge product (the reported invariants do not depend on it).  Each row
+    is sparse: e_S ^ e_h = (-1)^#{s in S : s > h} e_{S+h} for h not in S.
     """
     hit = a.cache.get("mu_presentation")
     if hit is not None:
@@ -204,7 +217,9 @@ def mu_presentation(a: Arrangement) -> MuPresentation:
         )
 
     full_rows = full1.hnf.rows_sorted()
-    matrix: list[list[int]] = []
+    mons1 = basis(n, d1)
+    index2 = basis_index(n, d2)
+    rows: list[dict[int, int]] = []
     row_basis: list[tuple[int, int]] = []
     for gidx in range(L1.rank):
         # lift from quotient coordinates through the ideal basis to Lambda
@@ -216,25 +231,24 @@ def mu_presentation(a: Arrangement) -> MuPresentation:
                     lam[col] = nv
                 else:
                     lam.pop(col, None)
-        elt = from_coordinates(n, d1, lam)
+        terms = [(mons1[col], v) for col, v in lam.items()]
         for h in range(n):
-            w = wedge(elt, generator(h)).sparse_coordinates(n)
-            coords = L2.class_coords(w)
-            line = [0] * L2.rank
-            for k, v in coords.items():
-                line[k] = v
-            matrix.append(line)
+            w: dict[int, int] = {}
+            for mon, v in terms:
+                below = bisect(mon, h)
+                if below and mon[below - 1] == h:
+                    continue
+                w[index2[mon[:below] + (h,) + mon[below:]]] = -v if (d1 - below) % 2 else v
+            rows.append(L2.class_coords(w))
             row_basis.append((gidx, h))
 
     nonpivot = L2.nonpivot_columns()
     if nonpivot is not None:
-        from .exterior import basis as ext_basis
-
-        mons = ext_basis(n, d2)
-        col_basis = [str(mons[j]) for j in nonpivot]
+        mons2 = basis(n, d2)
+        col_basis = [str(mons2[j]) for j in nonpivot]
     else:
         col_basis = [f"v{k}" for k in range(L2.rank)]
-    pres = MuPresentation(p, L1.rank, row_basis, col_basis, matrix)
+    pres = MuPresentation(p, L1.rank, row_basis, col_basis, rows)
     a.cache["mu_presentation"] = pres
     return pres
 
@@ -242,7 +256,7 @@ def mu_presentation(a: Arrangement) -> MuPresentation:
 def _mu_divisors(a: Arrangement) -> list[int]:
     hit = a.cache.get("mu_divisors")
     if hit is None:
-        hit = snf_divisors(mu_presentation(a).matrix)
+        hit = snf_divisors(mu_presentation(a).rows)
         a.cache["mu_divisors"] = hit
     return hit
 
@@ -252,7 +266,7 @@ def gr1_invariants(a: Arrangement) -> AbelianInvariants:
     pres = mu_presentation(a)
     divs = _mu_divisors(a)
     return AbelianInvariants(
-        free_rank=len(pres.matrix) - len(divs),
+        free_rank=len(pres.rows) - len(divs),
         torsion_factors=tuple(d for d in divs if d > 1),
     )
 
@@ -295,10 +309,11 @@ def torsion_and_rank_report(a: Arrangement) -> tuple[TorsionReport, dict]:
         },
     )
     if not (report.gr1_torsion_free == report.a_plus_free_p2 == report.ind_free_p2):
+        pres = mu_presentation(a)
         raise InternalInvariantViolation(
             "torsion equivalence failed: "
             f"gr1 {gr1.torsion_factors}, Aplus {aplus.torsion_factors}, "
-            f"IND {ind.torsion_factors}; mu matrix: {mu_presentation(a).matrix}"
+            f"IND {ind.torsion_factors}; mu shape {len(pres.rows)} x {len(pres.col_basis)}"
         )
 
     ha = hilbert(a, "A", RATIONALS).coefficients

@@ -142,19 +142,26 @@ def _extensions(line: list[list[int]], s: int, rest: list[int]) -> list[tuple[in
         if v is not None:
             f[d, d2] = v
     out: list[tuple[int, ...]] = []
-
-    def grow(dset: tuple[int, ...], allowed: list[int]) -> None:
-        for k, d in enumerate(allowed):
-            if all(
-                _solvable(line, f[x, y], f[x, d], f[y, d])
-                for x, y in itertools.combinations(dset, 2)
-            ):
-                out.append(dset + (d,))
-                grow(dset + (d,), [e for e in allowed[k + 1 :] if (d, e) in f])
-
-    grow((), rest)
+    _grow(line, f, out, (), rest)
     out.sort(key=lambda dset: (len(dset), dset))
     return out
+
+
+def _grow(
+    line: list[list[int]],
+    f: dict[tuple[int, int], int],
+    out: list[tuple[int, ...]],
+    dset: tuple[int, ...],
+    allowed: list[int],
+) -> None:
+    """Append to ``out`` every passing dset + (d, ...) with d from ``allowed``."""
+    for k, d in enumerate(allowed):
+        if all(
+            _solvable(line, f[x, y], f[x, d], f[y, d])
+            for x, y in itertools.combinations(dset, 2)
+        ):
+            out.append(dset + (d,))
+            _grow(line, f, out, dset + (d,), [e for e in allowed[k + 1 :] if (d, e) in f])
 
 
 def composition_series(a: Arrangement) -> Optional[CompositionSeries]:
@@ -177,26 +184,8 @@ def composition_series(a: Arrangement) -> Optional[CompositionSeries]:
         line = a.pair_closures()
         full = (1 << n) - 1
         dead: set[int] = set()
-
-        def extend(s: int, chain: list[int]) -> Optional[list[int]]:
-            if s == full:
-                return chain
-            if s in dead:
-                return None
-            # closedness is transitive along solvable extensions, so a state
-            # not closed in the whole arrangement can never finish a chain;
-            # a closed one is closed inside every s + D, leaving (II), (III)
-            if _unclosed(line, s, full) is None:
-                for dset in _extensions(line, s, _members(full & ~s)):
-                    t = s | _mask(dset)
-                    got = extend(t, chain + [t])
-                    if got is not None:
-                        return got
-            dead.add(s)
-            return None
-
         for start in range(n):
-            masks = extend(1 << start, [1 << start])
+            masks = _extend(line, full, dead, 1 << start, [1 << start])
             if masks is not None:
                 chain = [tuple(_members(m)) for m in masks]
                 exps = [1] + [
@@ -210,6 +199,30 @@ def composition_series(a: Arrangement) -> Optional[CompositionSeries]:
         )
     a.cache["composition_series"] = result
     return result
+
+
+def _extend(
+    line: list[list[int]], full: int, dead: set[int], s: int, chain: list[int]
+) -> Optional[list[int]]:
+    """The first chain of solvable extensions from s to ``full``, or None.
+
+    States that cannot finish a chain are added to ``dead``.
+    """
+    if s == full:
+        return chain
+    if s in dead:
+        return None
+    # closedness is transitive along solvable extensions, so a state
+    # not closed in the whole arrangement can never finish a chain;
+    # a closed one is closed inside every s + D, leaving (II), (III)
+    if _unclosed(line, s, full) is None:
+        for dset in _extensions(line, s, _members(full & ~s)):
+            t = s | _mask(dset)
+            got = _extend(line, full, dead, t, chain + [t])
+            if got is not None:
+                return got
+    dead.add(s)
+    return None
 
 
 def _exponent_product(exponents: list[int], upto: int) -> list[int]:

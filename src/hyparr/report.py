@@ -148,7 +148,7 @@ def build_report(arr: Arrangement, cls: Classification, fields=None) -> tuple[di
             "gr0_rank": pres.gr0_rank,
             "gr1_rank": gr1.free_rank,
             "gr1_invariant_factors": list(gr1.torsion_factors),
-            "mu_shape": [len(pres.matrix), len(pres.col_basis)],
+            "mu_shape": [len(pres.rows), len(pres.col_basis)],
             "torsion_equivalences": {
                 "gr1_torsion_free": tors.gr1_torsion_free,
                 "a_plus_free_p2": tors.a_plus_free_p2,

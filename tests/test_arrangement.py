@@ -482,6 +482,39 @@ def test_mobius_is_lazy_and_keeps_identities():
 # ----------------------------- residual routes vs the definitions they replace
 
 
+def chordless_by_split_scan(arr, size):
+    """Circuits of the given size with no c outside splitting them into two
+    halves that each become dependent with c, ranks by fresh elimination."""
+
+    def dependent(s):
+        return arr.subset_rank(s) < len(s)
+
+    out = []
+    for circ in arr.circuits(size):
+        if len(circ) != size:
+            continue
+        chord = any(
+            dependent(half + (c,)) and dependent(tuple(set(circ) - set(half)) + (c,))
+            for c in range(arr.n)
+            if c not in circ
+            for k in range(1, size)
+            for half in itertools.combinations(circ, k)
+        )
+        if not chord:
+            out.append(circ)
+    return out
+
+
+def test_chordless_circuits_match_split_scan():
+    inputs = [from_graph(g) for g in connected_graph_reps(6)]
+    inputs += [parse_input(str(p)) for p in sorted(FIXTURES.iterdir())]
+    assert len(inputs) == 143 + 7
+    for arr in inputs:
+        for size in range(3, min(arr.n, arr.rank() + 1) + 1):
+            expect = chordless_by_split_scan(arr, size)
+            assert build(arr.ambient_dim, arr.normals).chordless_circuits(size) == expect
+
+
 def small_entries(gen, dim, draws):
     """The arrangement of `draws` random {-1,0,1} vectors, dropping zero and -v."""
     vecs = {tuple(gen.randint(-1, 1) for _ in range(dim)) for _ in range(draws)}

@@ -1,19 +1,30 @@
 """Homotopy pipeline: gr0, the mu presentation, gr1, torsion equivalences."""
 
+import tracemalloc
+from math import comb
+from pathlib import Path
+
 import pytest
 
+from hyparr import homotopy
 from hyparr.arrangement import build, from_graph
-from hyparr.errors import PreconditionError
+from hyparr.cli import _random_2generic_instances, parse_input
+from hyparr.errors import InternalInvariantViolation, PreconditionError
+from hyparr.exterior import from_coordinates, generator, wedge
 from hyparr.graphs import make_graph
 from hyparr.homotopy import (
+    FreeQuotient,
     gr0_rank,
     gr1_invariants,
     mu_presentation,
     second_nilpotent_quotient,
     torsion_and_rank_report,
 )
-from hyparr.intlinalg import RATIONALS, smith_normal_form
-from hyparr.osalgebra import hilbert
+from hyparr.hypersolvable import classify
+from hyparr.intlinalg import AbelianInvariants, RATIONALS, smith_normal_form, snf_divisors
+from hyparr.osalgebra import IdealKind, hilbert, ideal_lattice
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 K3 = make_graph(3, [(0, 1), (0, 2), (1, 2)])
 THETA = make_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)])
@@ -172,3 +183,99 @@ def test_hypersolvable_rank3_gr1_free():
     assert rep.gr1_torsion_free
     inv = gr1_invariants(arr)
     assert inv.is_free
+
+
+def qualifying(arr):
+    cls = classify(arr)
+    return cls.hypersolvable and not cls.supersolvable
+
+
+def mu_inputs():
+    """The qualifying fixtures and the first 10 qualifying seeded random2g
+    instances, whose integer normals are not graphic."""
+    fixtures = [parse_input(str(p)) for p in sorted(FIXTURES.iterdir())]
+    randoms = (
+        build(dim, normals) for _key, dim, normals in _random_2generic_instances(5, 12, 60)
+    )
+    picked = [arr for arr in randoms if qualifying(arr)][:10]
+    assert len(picked) == 10
+    return [arr for arr in fixtures if qualifying(arr)] + picked
+
+
+def mu_rows_by_wedge(arr):
+    """Oracle: each gr0 basis element lifted to an ExteriorElement, wedged
+    with generator(h) and reduced by the degree-(p+2) quotient."""
+    p, n = classify(arr).p, arr.n
+    full1 = ideal_lattice(arr, IdealKind.FULL, p + 1)
+    quad1 = ideal_lattice(arr, IdealKind.QUADRATIC, p + 1)
+    pos = {piv: k for k, piv in enumerate(sorted(full1.hnf.pivots))}
+    L1 = FreeQuotient(
+        full1.rank,
+        [
+            {pos[piv]: v for piv, v in full1.hnf.coordinates(row).items()}
+            for row in quad1.hnf.rows_sorted()
+        ],
+    )
+    quad2 = ideal_lattice(arr, IdealKind.QUADRATIC, p + 2)
+    L2 = FreeQuotient(comb(n, p + 2), quad2.hnf.rows_sorted())
+    full_rows = full1.hnf.rows_sorted()
+    rows = []
+    for gidx in range(L1.rank):
+        lam = {}
+        for bidx, coef in L1.lift(gidx).items():
+            for col, v in full_rows[bidx].items():
+                lam[col] = lam.get(col, 0) + coef * v
+        elt = from_coordinates(n, p + 1, lam)
+        for h in range(n):
+            rows.append(L2.class_coords(wedge(elt, generator(h)).sparse_coordinates(n)))
+    return rows
+
+
+def test_mu_rows_match_the_wedge_product():
+    inputs = mu_inputs()
+    assert len(inputs) == 3 + 10
+    for arr in inputs:
+        pres = mu_presentation(arr)
+        assert pres.rows == mu_rows_by_wedge(arr), arr.normals
+        assert pres.row_basis == [(g, h) for g in range(pres.gr0_rank) for h in range(arr.n)]
+        width = len(pres.col_basis)
+        assert all(0 <= k < width and v for row in pres.rows for k, v in row.items())
+        assert pres.matrix == [[row.get(k, 0) for k in range(width)] for row in pres.rows]
+        assert snf_divisors(pres.rows) == smith_normal_form(pres.matrix).divisors
+
+
+def test_mu_of_general_lines_stays_small():
+    # 12 lines in general position in the plane: a 1980 x 495 mu matrix,
+    # which a dense build holds at ~9 MiB and the sparse rows at ~2 MiB
+    arr = build(3, [(1, i, i * i) for i in range(12)])
+    assert qualifying(arr)
+    tracemalloc.start()
+    try:
+        pres = mu_presentation(arr)
+        inv = gr1_invariants(arr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(pres.rows), len(pres.col_basis)) == (1980, 495)
+    assert inv == AbelianInvariants(free_rank=1485, torsion_factors=())
+    assert peak < 4 * 2**20, peak
+
+
+def test_torsion_disagreement_reports_shape_not_matrix(monkeypatch):
+    real = homotopy.quotient_invariants_graded
+
+    def fake(a, kind, degree):
+        inv = real(a, kind, degree)
+        if kind == "Aplus":
+            return AbelianInvariants(inv.free_rank, (2,))
+        return inv
+
+    monkeypatch.setattr(homotopy, "quotient_invariants_graded", fake)
+    arr = from_graph(THETA)
+    with pytest.raises(InternalInvariantViolation) as err:
+        torsion_and_rank_report(arr)
+    msg = str(err.value)
+    assert "torsion equivalence failed" in msg
+    assert "gr1 ()" in msg and "Aplus (2,)" in msg and "IND ()" in msg
+    assert "mu shape 14 x 35" in msg
+    assert "[" not in msg

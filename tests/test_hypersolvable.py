@@ -1,5 +1,6 @@
 """Classification: solvable extensions, composition series, p, supersolvability."""
 
+import gc
 import hashlib
 import itertools
 import json
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from hyparr.arrangement import build, from_graph
+from hyparr.cli import _random_2generic_instances
 from hyparr.errors import InputError
 from hyparr.graphs import connected_graph_reps, is_chordal, make_graph
 from hyparr.hypersolvable import (
@@ -304,3 +306,21 @@ def test_exponent_product_formula():
     assert cls.series.exponents == [1, 2]
     habar = hilbert(from_graph(K3), "Abar", RATIONALS).coefficients
     assert list(habar) == [1, 3, 2, 0]
+
+
+def test_classify_leaves_no_cyclic_garbage():
+    # the series search, the extension growth and the modular-chain search
+    # recurse through module-level helpers, so nothing they build waits for
+    # the cyclic collector
+    (_key, dim, normals), = _random_2generic_instances(0, 12, 1)
+    gc.collect()
+    gc.disable()
+    try:
+        arr = build(dim, normals)
+        cls = classify(arr)
+        assert cls.series is not None
+        assert arr.intersection_lattice().has_modular_chain() == cls.supersolvable
+        del arr, cls
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
