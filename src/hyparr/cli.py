@@ -130,7 +130,11 @@ def _parse_fields(spec: str | None):
         tok = tok.strip()
         if not tok:
             continue
-        out.append(FieldSpec(int(tok)))
+        try:
+            characteristic = int(tok)
+        except ValueError:
+            raise InputError(f"--fields: {tok!r} is not an integer") from None
+        out.append(FieldSpec(characteristic))
     if not out:
         raise InputError("--fields given but empty")
     return out
@@ -242,7 +246,7 @@ def _random_2generic_instances(seed: int, max_size: int, count: int):
     rng = Random(seed)
     idx = 0
     while idx < count:
-        dim = rng.randint(3, RANDOM_DIM_BOUND)
+        dim = rng.randint(3, min(RANDOM_DIM_BOUND, max_size - 1))
         n = rng.randint(dim + 1, max_size)
         normals = []
         ok = True

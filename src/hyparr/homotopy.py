@@ -5,8 +5,13 @@ p, the objects computed here are:
 
 * gr0: the free abelian group of rank rank(I/I_2)^{p+1} (never zero);
 * the multiplication map mu: (I/I_2)^{p+1} (x) Lambda^1 -> (Lambda/I_2)^{p+2},
-  presented as an integer matrix in Hermite-derived bases of the two
-  lattices (both verified torsion-free first);
+  presented as an integer matrix in bases read off the echelon pivots of
+  the cached ideal lattices.  Lambda/I_2 is the Orlik-Solomon algebra of a
+  supersolvable deformation with the same rank-2 flats (Jambu-Papadima),
+  whose ideal has a +-1-lead broken-circuit basis (Bjorner-Ziegler), so
+  the QUADRATIC pivots are units and both quotients are free on their
+  non-pivot columns; a non-unit pivot is an InternalInvariantViolation
+  (exit 3);
 * gr1: the cokernel of the dual of mu.  Smith divisors are transpose
   invariant, so its invariants are read straight off the mu matrix:
   free rank = rows - #divisors, torsion = divisors > 1.
@@ -29,14 +34,7 @@ from .arrangement import Arrangement
 from .errors import InternalInvariantViolation, PreconditionError
 from .exterior import basis, basis_index
 from .hypersolvable import Classification, classify
-from .intlinalg import (
-    AbelianInvariants,
-    RATIONALS,
-    SparseHermite,
-    invert_unimodular,
-    smith_normal_form,
-    snf_divisors,
-)
+from .intlinalg import AbelianInvariants, RATIONALS, snf_divisors
 from .osalgebra import (
     IdealKind,
     hilbert,
@@ -88,67 +86,6 @@ class TorsionReport:
     witnesses: dict[str, tuple[int, ...]]
 
 
-class FreeQuotient:
-    """Basis and coordinates for Z^ambient / (row span of relations).
-
-    Construction fails loudly when the quotient has torsion; callers use
-    this only where freeness is a theorem.  With unit relation pivots the
-    basis is the non-pivot unit vectors; otherwise a Smith transform
-    provides the change of basis.
-    """
-
-    def __init__(self, ambient: int, relations) -> None:
-        h = SparseHermite()
-        for row in relations:
-            h.insert(row)
-        h.canonicalize()
-        divs = h.divisors()
-        if any(d != 1 for d in divs):
-            raise InternalInvariantViolation(
-                f"lattice quotient has torsion {divs}; expected a free quotient"
-            )
-        self.ambient = ambient
-        self.rank = ambient - h.rank
-        self._h = h
-        if h.all_unit_pivots():
-            self._nonpivot = [j for j in range(ambient) if j not in h.pivots]
-            self._pos = {j: k for k, j in enumerate(self._nonpivot)}
-            self._V = None
-        else:
-            dense = h.dense_rows(ambient)
-            res = smith_normal_form(dense)
-            s = len(res.divisors)
-            vinv = invert_unimodular(res.right)
-            self._V = res.right
-            self._lifts = [
-                {j: v for j, v in enumerate(vinv[k]) if v} for k in range(s, ambient)
-            ]
-            self._s = s
-
-    def lift(self, k: int) -> dict[int, int]:
-        """Ambient coordinates of the k-th basis element of the quotient."""
-        if self._V is None:
-            return {self._nonpivot[k]: 1}
-        return dict(self._lifts[k])
-
-    def class_coords(self, vec: dict[int, int]) -> dict[int, int]:
-        """Coordinates of the class of an ambient vector in the basis."""
-        if self._V is None:
-            residual = self._h.reduce(vec)
-            return {self._pos[j]: v for j, v in residual.items()}
-        out: dict[int, int] = {}
-        for j, v in vec.items():
-            row = self._V[j]
-            for k in range(self._s, self.ambient):
-                if row[k]:
-                    out[k - self._s] = out.get(k - self._s, 0) + v * row[k]
-        return {k: v for k, v in out.items() if v}
-
-    def nonpivot_columns(self) -> list[int] | None:
-        """Ambient columns whose unit vectors form the basis, if that simple."""
-        return list(self._nonpivot) if self._V is None else None
-
-
 def require_qualifying(a: Arrangement) -> Classification:
     """Hypersolvable and not supersolvable, else a PreconditionError."""
     cls = a.cache.get("classification")
@@ -182,12 +119,20 @@ def gr0_rank(a: Arrangement) -> int:
 
 
 def mu_presentation(a: Arrangement) -> MuPresentation:
-    """The multiplication map in fixed bases of the two free lattices.
+    """The multiplication map in bases read off the echelon ideal bases.
 
     Rows run over (basis element of (I/I_2)^{p+1}) x (hyperplane), columns
     over the basis of (Lambda/I_2)^{p+2}; the sign convention is the plain
     wedge product (the reported invariants do not depend on it).  Each row
     is sparse: e_S ^ e_h = (-1)^#{s in S : s > h} e_{S+h} for h not in S.
+
+    The QUADRATIC pivots are units (Jambu-Papadima plus Bjorner-Ziegler, see
+    the module docstring), so the gr0 basis is the FULL^{p+1} rows whose
+    pivot is no QUADRATIC^{p+1} pivot, in ascending pivot order, and the
+    class of a product is its residual after reduction by QUADRATIC^{p+2},
+    which is unique and lives on the non-pivot columns.  A non-unit pivot,
+    or a QUADRATIC^{p+1} pivot that FULL^{p+1} lacks, raises
+    InternalInvariantViolation (exit 3).
     """
     hit = a.cache.get("mu_presentation")
     if hit is not None:
@@ -199,38 +144,36 @@ def mu_presentation(a: Arrangement) -> MuPresentation:
 
     full1 = ideal_lattice(a, IdealKind.FULL, d1)
     quad1 = ideal_lattice(a, IdealKind.QUADRATIC, d1)
-    pivots_sorted = sorted(full1.hnf.pivots)
-    pos = {piv: k for k, piv in enumerate(pivots_sorted)}
-    rel1 = []
-    for row in quad1.hnf.rows_sorted():
-        coords = full1.hnf.coordinates(row)
-        rel1.append({pos[piv]: v for piv, v in coords.items()})
-    L1 = FreeQuotient(full1.rank, rel1)
-
     quad2 = ideal_lattice(a, IdealKind.QUADRATIC, d2)
-    L2 = FreeQuotient(comb(n, d2), quad2.hnf.rows_sorted())
-
-    g0 = gr0_rank(a)
-    if L1.rank != g0:
+    for q, quad in ((d1, quad1), (d2, quad2)):
+        if not quad.hnf.all_unit_pivots():
+            raise InternalInvariantViolation(
+                f"QUADRATIC lattice in degree {q} has a non-unit pivot, but "
+                "Lambda/I_2 of a hypersolvable arrangement is the OS algebra of a "
+                "supersolvable deformation (Jambu-Papadima), whose ideal has a "
+                "+-1-lead broken-circuit basis (Bjorner-Ziegler)"
+            )
+    if not quad1.hnf.pivots.keys() <= full1.hnf.pivots.keys():
         raise InternalInvariantViolation(
-            f"gr0 rank {g0} from Hilbert data but lattice basis has {L1.rank}"
+            f"QUADRATIC lattice in degree {d1} has a pivot the FULL lattice lacks, "
+            "but I_2 lies in I"
+        )
+    gr0_rows = [
+        full1.hnf.pivots[j] for j in sorted(full1.hnf.pivots) if j not in quad1.hnf.pivots
+    ]
+    g0 = gr0_rank(a)
+    if len(gr0_rows) != g0:
+        raise InternalInvariantViolation(
+            f"gr0 rank {g0} from Hilbert data but lattice basis has {len(gr0_rows)}"
         )
 
-    full_rows = full1.hnf.rows_sorted()
+    nonpivot = [j for j in range(comb(n, d2)) if j not in quad2.hnf.pivots]
+    pos = {j: k for k, j in enumerate(nonpivot)}
     mons1 = basis(n, d1)
     index2 = basis_index(n, d2)
     rows: list[dict[int, int]] = []
     row_basis: list[tuple[int, int]] = []
-    for gidx in range(L1.rank):
-        # lift from quotient coordinates through the ideal basis to Lambda
-        lam: dict[int, int] = {}
-        for bidx, coef in L1.lift(gidx).items():
-            for col, v in full_rows[bidx].items():
-                nv = lam.get(col, 0) + coef * v
-                if nv:
-                    lam[col] = nv
-                else:
-                    lam.pop(col, None)
+    for gidx, lam in enumerate(gr0_rows):
         terms = [(mons1[col], v) for col, v in lam.items()]
         for h in range(n):
             w: dict[int, int] = {}
@@ -239,16 +182,12 @@ def mu_presentation(a: Arrangement) -> MuPresentation:
                 if below and mon[below - 1] == h:
                     continue
                 w[index2[mon[:below] + (h,) + mon[below:]]] = -v if (d1 - below) % 2 else v
-            rows.append(L2.class_coords(w))
+            rows.append({pos[j]: v for j, v in quad2.hnf.reduce(w).items()})
             row_basis.append((gidx, h))
 
-    nonpivot = L2.nonpivot_columns()
-    if nonpivot is not None:
-        mons2 = basis(n, d2)
-        col_basis = [str(mons2[j]) for j in nonpivot]
-    else:
-        col_basis = [f"v{k}" for k in range(L2.rank)]
-    pres = MuPresentation(p, L1.rank, row_basis, col_basis, rows)
+    mons2 = basis(n, d2)
+    col_basis = [str(mons2[j]) for j in nonpivot]
+    pres = MuPresentation(p, g0, row_basis, col_basis, rows)
     a.cache["mu_presentation"] = pres
     return pres
 

@@ -23,7 +23,6 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import InputError, InternalInvariantViolation
@@ -693,33 +692,3 @@ def int_rank(vectors: Sequence[Sequence[int]]) -> int:
         if rank == len(A):
             break
     return rank
-
-
-def invert_unimodular(mat: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Exact inverse of a unimodular integer matrix."""
-    n = len(mat)
-    if _validate(mat) != n:
-        raise InputError("inverse of a non-square matrix")
-    A = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if A[i][col]), None)
-        if piv is None:
-            raise InputError("matrix is singular")
-        A[col], A[piv] = A[piv], A[col]
-        inv = A[col][col]
-        A[col] = [x / inv for x in A[col]]
-        for i in range(n):
-            if i != col and A[i][col]:
-                c = A[i][col]
-                A[i] = [x - c * y for x, y in zip(A[i], A[col])]
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n, 2 * n):
-            v = A[i][j]
-            if v.denominator != 1:
-                raise InputError("matrix is not unimodular")
-            row.append(int(v))
-        out.append(row)
-    return out

@@ -167,9 +167,12 @@ def test_analyze_fields_flag(tmp_path):
 
 
 def test_analyze_bad_fields(capsys):
-    code = main(["analyze", "--input", str(FIXTURES / "twogen6.arr"),
-                 "--fields", "0,6"])
-    assert code == 1
+    for fields in ("0,6", "0,x"):
+        code = main(["analyze", "--input", str(FIXTURES / "twogen6.arr"),
+                     "--fields", fields])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err, err
 
 
 # ---------------------------------------------------------------- circuits
@@ -256,6 +259,19 @@ def test_search_seeded_determinism(tmp_path):
         assert doc["qualifies"] is True
         # dependent 2-generic arrangements sit at p = c - 2
         assert cls["p"] == cls["c"] - 2
+
+
+@pytest.mark.parametrize("max_size", [4, 5, 6])
+def test_search_random2g_small_sizes(tmp_path, max_size):
+    # the dimension is drawn below the size, so every accepted size works
+    out = tmp_path / "r.jsonl"
+    for seed in range(5):
+        assert main(["search", "--family", "random2g", "--max-size", str(max_size),
+                     "--seed", str(seed), "--count", "3", "--output", str(out)]) == 0
+        docs = [json.loads(line) for line in out.read_text().splitlines()]
+        assert len(docs) == 3
+        for doc in docs:
+            assert doc["ambient_dim"] < len(doc["normals"]) <= max_size
 
 
 def test_search_prefix_consistent(tmp_path):

@@ -11,9 +11,8 @@ from hyparr.arrangement import build, from_graph
 from hyparr.cli import _random_2generic_instances, parse_input
 from hyparr.errors import InternalInvariantViolation, PreconditionError
 from hyparr.exterior import from_coordinates, generator, wedge
-from hyparr.graphs import make_graph
+from hyparr.graphs import connected_graph_reps, make_graph
 from hyparr.homotopy import (
-    FreeQuotient,
     gr0_rank,
     gr1_invariants,
     mu_presentation,
@@ -21,8 +20,14 @@ from hyparr.homotopy import (
     torsion_and_rank_report,
 )
 from hyparr.hypersolvable import classify
-from hyparr.intlinalg import AbelianInvariants, RATIONALS, smith_normal_form, snf_divisors
-from hyparr.osalgebra import IdealKind, hilbert, ideal_lattice
+from hyparr.intlinalg import (
+    AbelianInvariants,
+    RATIONALS,
+    SparseHermite,
+    smith_normal_form,
+    snf_divisors,
+)
+from hyparr.osalgebra import IdealKind, IdealLattice, hilbert, ideal_lattice
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -138,43 +143,6 @@ def test_precondition_errors_propagate():
         torsion_and_rank_report(d4())
 
 
-def test_free_quotient_unit_pivot_path():
-    from hyparr.homotopy import FreeQuotient
-
-    fq = FreeQuotient(3, [{0: 1, 2: 1}])  # Z^3 / <e0 + e2>, free of rank 2
-    assert fq.rank == 2
-    assert fq.nonpivot_columns() == [1, 2]
-    assert fq.class_coords({0: 1, 2: 1}) == {}
-    lift0, lift1 = fq.lift(0), fq.lift(1)
-    assert fq.class_coords(lift0) == {0: 1}
-    assert fq.class_coords(lift1) == {1: 1}
-
-
-def test_free_quotient_general_path():
-    from hyparr.homotopy import FreeQuotient
-
-    # Z^2 / <(2, 1)> is free of rank 1, but the relation pivot is 2, which
-    # forces the Smith-transform branch
-    fq = FreeQuotient(2, [{0: 2, 1: 1}])
-    assert fq.rank == 1
-    assert fq.nonpivot_columns() is None
-    assert fq.class_coords({0: 2, 1: 1}) == {}
-    lift = fq.lift(0)
-    coords = fq.class_coords(lift)
-    assert coords == {0: 1}
-    # classes add up: 3 * lift should map to 3 * basis vector
-    tripled = {k: 3 * v for k, v in lift.items()}
-    assert fq.class_coords(tripled) == {0: 3}
-
-
-def test_free_quotient_rejects_torsion():
-    from hyparr.errors import InternalInvariantViolation
-    from hyparr.homotopy import FreeQuotient
-
-    with pytest.raises(InternalInvariantViolation):
-        FreeQuotient(2, [{0: 2}])  # Z^2 / <2 e0> has Z/2 torsion
-
-
 def test_hypersolvable_rank3_gr1_free():
     # hypersolvable with r = 3 and not supersolvable: gr1 is free
     g = make_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])  # 4-cycle, rank 3
@@ -203,37 +171,63 @@ def mu_inputs():
 
 
 def mu_rows_by_wedge(arr):
-    """Oracle: each gr0 basis element lifted to an ExteriorElement, wedged
-    with generator(h) and reduced by the degree-(p+2) quotient."""
+    """Oracle: the gr0 basis from the coordinates of the QUADRATIC rows in the
+    FULL basis, each element lifted to an ExteriorElement, wedged with
+    generator(h) and reduced by a canonical Hermite copy in degree p+2."""
     p, n = classify(arr).p, arr.n
     full1 = ideal_lattice(arr, IdealKind.FULL, p + 1)
     quad1 = ideal_lattice(arr, IdealKind.QUADRATIC, p + 1)
-    pos = {piv: k for k, piv in enumerate(sorted(full1.hnf.pivots))}
-    L1 = FreeQuotient(
-        full1.rank,
-        [
-            {pos[piv]: v for piv, v in full1.hnf.coordinates(row).items()}
-            for row in quad1.hnf.rows_sorted()
-        ],
-    )
-    quad2 = ideal_lattice(arr, IdealKind.QUADRATIC, p + 2)
-    L2 = FreeQuotient(comb(n, p + 2), quad2.hnf.rows_sorted())
-    full_rows = full1.hnf.rows_sorted()
+    relations = SparseHermite()
+    for row in quad1.hnf.rows_sorted():
+        relations.insert(full1.hnf.coordinates(row))
+    relations.canonicalize()
+    assert relations.all_unit_pivots()
+    # coordinates are keyed by the pivot column of a FULL row; the rows whose
+    # column no relation leads span the quotient
+    gr0 = [full1.hnf.pivots[j] for j in sorted(full1.hnf.pivots) if j not in relations.pivots]
+    # with unit pivots the canonical form is reduced: each basis row is 0 on
+    # the other pivot columns, so w less its pivot part has w's pivot values
+    quad2 = ideal_lattice(arr, IdealKind.QUADRATIC, p + 2).hnf.copy()
+    quad2.canonicalize()
+    assert quad2.all_unit_pivots()
+    free2 = [j for j in range(comb(n, p + 2)) if j not in quad2.pivots]
     rows = []
-    for gidx in range(L1.rank):
-        lam = {}
-        for bidx, coef in L1.lift(gidx).items():
-            for col, v in full_rows[bidx].items():
-                lam[col] = lam.get(col, 0) + coef * v
+    for lam in gr0:
         elt = from_coordinates(n, p + 1, lam)
         for h in range(n):
-            rows.append(L2.class_coords(wedge(elt, generator(h)).sparse_coordinates(n)))
+            w = wedge(elt, generator(h)).sparse_coordinates(n)
+            pivot_part = {j: w[j] for j in w if j in quad2.pivots}
+            residual = dict(w)
+            for j, v in pivot_part.items():
+                for col, x in quad2.pivots[j].items():
+                    residual[col] = residual.get(col, 0) - v * x
+            assert all(not residual.get(j) for j in quad2.pivots)
+            lattice_part = {
+                col: w.get(col, 0) - residual.get(col, 0) for col in set(w) | set(residual)
+            }
+            assert quad2.coordinates(lattice_part) == pivot_part
+            rows.append({k: residual[j] for k, j in enumerate(free2) if residual.get(j)})
     return rows
+
+
+def graphs_with_quadratic_relations(count):
+    """Qualifying 6-vertex graphs whose I_2 is nonzero in degree p+2, so the
+    reduction to (Lambda/I_2)^{p+2} is not the identity."""
+    picked = []
+    for g in connected_graph_reps(6):
+        arr = from_graph(g)
+        if qualifying(arr) and ideal_lattice(arr, IdealKind.QUADRATIC, classify(arr).p + 2).rank:
+            picked.append(arr)
+            if len(picked) == count:
+                break
+    return picked
 
 
 def test_mu_rows_match_the_wedge_product():
     inputs = mu_inputs()
     assert len(inputs) == 3 + 10
+    inputs += graphs_with_quadratic_relations(6)
+    assert len(inputs) == 3 + 10 + 6
     for arr in inputs:
         pres = mu_presentation(arr)
         assert pres.rows == mu_rows_by_wedge(arr), arr.normals
@@ -279,3 +273,65 @@ def test_torsion_disagreement_reports_shape_not_matrix(monkeypatch):
     assert "gr1 ()" in msg and "Aplus (2,)" in msg and "IND ()" in msg
     assert "mu shape 14 x 35" in msg
     assert "[" not in msg
+
+
+def test_quadratic_pivots_are_units_inside_the_full_pivots():
+    # mu_presentation reads its bases off these pivots; Lambda/I_2 of a
+    # hypersolvable arrangement is the OS algebra of a supersolvable
+    # deformation (Jambu-Papadima), whose ideal has a +-1-lead basis
+    corpus = [from_graph(g) for g in connected_graph_reps(6)]
+    corpus += [parse_input(str(p)) for p in sorted(FIXTURES.iterdir())]
+    randoms = [
+        build(dim, normals) for _key, dim, normals in _random_2generic_instances(5, 12, 20)
+    ]
+    checked = 0
+    for arr in corpus + randoms:
+        if not classify(arr).hypersolvable:
+            continue
+        for q in range(arr.n + 1):
+            quad = ideal_lattice(arr, IdealKind.QUADRATIC, q).hnf
+            assert quad.all_unit_pivots(), (arr.normals, q)
+            if q <= arr.rank():
+                full = ideal_lattice(arr, IdealKind.FULL, q).hnf
+                assert quad.pivots.keys() <= full.pivots.keys(), (arr.normals, q)
+            checked += 1
+    assert checked > 1000
+
+
+def theta_with_a_bad_quadratic_lattice(monkeypatch, offset, lead):
+    """Patch the QUADRATIC lattice of degree p+offset seen by the homotopy
+    layer on theta6 (whose I_2 vanishes) with one extra row lead * e_j, j the
+    first column that no FULL row leads."""
+    real = homotopy.ideal_lattice
+
+    def fake(a, kind, q):
+        lat = real(a, kind, q)
+        if kind is not IdealKind.QUADRATIC or q != classify(a).p + offset:
+            return lat
+        full = real(a, IdealKind.FULL, q)
+        j = next(c for c in range(full.ncols) if c not in full.hnf.pivots)
+        bad = lat.hnf.copy()
+        bad.insert({j: lead})
+        return IdealLattice(kind, q, lat.ncols, bad)
+
+    monkeypatch.setattr(homotopy, "ideal_lattice", fake)
+
+
+@pytest.mark.parametrize(
+    "offset, lead, message",
+    [
+        (1, 2, "degree 3 has a non-unit pivot"),
+        (2, -3, "degree 4 has a non-unit pivot"),
+        (1, 1, "degree 3 has a pivot the FULL lattice lacks"),
+    ],
+)
+def test_mu_rejects_a_quadratic_lattice_against_the_theorem(
+    monkeypatch, capsys, offset, lead, message
+):
+    from hyparr.cli import main
+
+    theta_with_a_bad_quadratic_lattice(monkeypatch, offset, lead)
+    with pytest.raises(InternalInvariantViolation, match=message):
+        mu_presentation(from_graph(THETA))
+    assert main(["analyze", "--input", str(FIXTURES / "theta6.graph")]) == 3
+    assert message in capsys.readouterr().err

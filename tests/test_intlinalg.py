@@ -20,7 +20,6 @@ from hyparr.intlinalg import (
     hermite_basis,
     identity_matrix,
     int_rank,
-    invert_unimodular,
     is_prime,
     mat_mul,
     prime_factors,
@@ -421,16 +420,6 @@ def test_quotient_invariants_column_mismatch():
 
 
 # ------------------------------------------------------------- utilities
-
-
-def test_invert_unimodular():
-    rng = random.Random(8)
-    for _ in range(20):
-        m = rand_matrix(rng, 4, 4, -3, 3)
-        res = smith_normal_form(m)
-        for u in (res.left, res.right):
-            inv = invert_unimodular(u)
-            assert mat_mul(u, inv) == identity_matrix(len(u))
 
 
 def test_int_rank_matches_hermite():

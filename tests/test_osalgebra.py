@@ -437,11 +437,17 @@ def test_quadratic_rank_check_raises_on_a_wrong_betti_number(monkeypatch):
 
 
 def invariants(arr):
+    from hyparr.homotopy import (
+        gr0_rank,
+        gr1_invariants,
+        mu_presentation,
+        torsion_and_rank_report,
+    )
     from hyparr.hypersolvable import classify, p_order
 
     cls = classify(arr)
     table = r_table(arr)
-    return (
+    out = (
         arr.betti_mobius(),
         [hilbert(arr, quotient, RATIONALS).coefficients for quotient in ("A", "Abar", "Aplus", "IND")],
         [f.characteristic for f in table.fields],
@@ -449,6 +455,19 @@ def invariants(arr):
         p_order(arr),
         cls.hypersolvable,
         cls.supersolvable,
+        sorted(cls.series.exponents) if cls.series else None,
+    )
+    if not cls.hypersolvable or cls.supersolvable:
+        return out
+    # the mu matrix itself is written in order-dependent bases; its shape
+    # and everything read off it are not
+    pres = mu_presentation(arr)
+    report, _ = torsion_and_rank_report(arr)
+    return out + (
+        gr1_invariants(arr),
+        gr0_rank(arr),
+        (len(pres.rows), len(pres.col_basis)),
+        (report.gr1_torsion_free, report.a_plus_free_p2, report.ind_free_p2),
     )
 
 
@@ -470,6 +489,27 @@ def test_invariants_survive_reordering_and_rescaling():
         normals[k] = [scale * x for x in normals[k]]
         rng.shuffle(normals)
         assert invariants(build(arr.ambient_dim, normals)) == expected, arr.normals
+
+
+def test_homotopy_invariants_survive_relabelling_vertices():
+    from hyparr.hypersolvable import classify
+
+    rng = random.Random(1996)
+    graphs = list(connected_graph_reps(6))
+    qualifying = []
+    for g in rng.sample(graphs, len(graphs)):
+        cls = classify(from_graph(g))
+        if cls.hypersolvable and not cls.supersolvable:
+            qualifying.append(g)
+        if len(qualifying) == 6:
+            break
+    for g in qualifying:
+        expected = invariants(from_graph(g))
+        assert len(expected) == 12
+        perm = list(range(6))
+        rng.shuffle(perm)
+        edges = [(perm[u], perm[v]) for u, v in g.edges]
+        assert invariants(from_graph(make_graph(6, edges))) == expected, g.edges
 
 
 def unimodular(rng, d):
