@@ -22,7 +22,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import InputError
 from .graphs import Graph
-from .intlinalg import int_rank
+from .intlinalg import RATIONALS, rank_over_field
 
 Vector = tuple[int, ...]
 
@@ -82,19 +82,19 @@ class Arrangement:
     # ----------------------------------------------------------- ranks
 
     def subset_rank(self, indices: Iterable[int]) -> int:
-        """Rank over Q of the chosen normals (exact fraction-free elimination)."""
+        """Rank over Q of the chosen normals (exact Hermite elimination)."""
         s = frozenset(indices)
         for i in s:
             if not 0 <= i < self.n:
                 raise InputError(f"hyperplane index {i} out of range")
-        return int_rank([self.normals[i] for i in s])
+        return rank_over_field([self.normals[i] for i in s], RATIONALS)
 
     def rank(self) -> int:
         return self._full_rank
 
     @cached_property
     def _full_rank(self) -> int:
-        return int_rank(self.normals)
+        return rank_over_field(self.normals, RATIONALS)
 
     @cached_property
     def _atoms(self) -> tuple[Vector, ...]:
@@ -406,7 +406,7 @@ class IntersectionLattice:
     def _rank(self, s: frozenset[int]) -> int:
         r = self._ranks.get(s)
         if r is None:
-            r = self._ranks[s] = int_rank([self._normals[i] for i in s])
+            r = self._ranks[s] = rank_over_field([self._normals[i] for i in s], RATIONALS)
         return r
 
     def closure(self, s: frozenset[int]) -> frozenset[int]:

@@ -9,6 +9,7 @@ violation (a theorem failed; always a bug, never user error).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from pathlib import Path
@@ -274,12 +275,16 @@ def _random_2generic_instances(seed: int, max_size: int, count: int):
 
 
 def cmd_search(args) -> int:
-    jobs = max(1, args.jobs)
+    jobs = args.jobs
+    if jobs < 1:
+        raise InputError(f"search needs --jobs >= 1, got {jobs}")
     if args.family == "graphic":
         if args.max_size > GRAPHIC_VERTEX_BOUND:
             raise InputError(
                 f"graphic search is bounded at {GRAPHIC_VERTEX_BOUND} vertices"
             )
+        if args.max_size < 1:
+            raise InputError(f"graphic search needs --max-size >= 1, got {args.max_size}")
         payloads = [
             (g.vertex_count, form, g.edges)
             for form, g in _keyed_connected_graph_reps(args.max_size)
@@ -293,6 +298,8 @@ def cmd_search(args) -> int:
             )
         if args.max_size < 4:
             raise InputError("random 2-generic search needs --max-size >= 4")
+        if args.count < 1:
+            raise InputError(f"random 2-generic search needs --count >= 1, got {args.count}")
         payloads = list(
             _random_2generic_instances(args.seed, args.max_size, args.count)
         )
@@ -304,7 +311,9 @@ def cmd_search(args) -> int:
         # imported only here: it loads multiprocessing, which no other start needs
         from concurrent.futures import ProcessPoolExecutor
 
-        pool = ProcessPoolExecutor(max_workers=jobs)
+        # the pool starts all its workers at the first submit, so never ask
+        # for more than there are CPUs; the output bytes do not depend on it
+        pool = ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1))
         results = pool.map(worker, payloads, chunksize=4)
 
     out_path = Path(args.output)

@@ -203,7 +203,7 @@ def chromatic_polynomial(g: Graph) -> list[int]:
     return out
 
 
-def connected_graph_reps(max_vertices: int, min_vertices: int = 1) -> list[Graph]:
+def connected_graph_reps(max_vertices: int) -> list[Graph]:
     """One representative per isomorphism class of connected simple graphs.
 
     Built incrementally: every connected graph on n vertices arises from a
@@ -211,12 +211,10 @@ def connected_graph_reps(max_vertices: int, min_vertices: int = 1) -> list[Graph
     nonempty neighbor set (delete any non-cut vertex to see this).
     Deterministic order: by vertex count, then canonical form.
     """
-    return [g for _, g in _keyed_connected_graph_reps(max_vertices, min_vertices)]
+    return [g for _, g in _keyed_connected_graph_reps(max_vertices)]
 
 
-def _keyed_connected_graph_reps(
-    max_vertices: int, min_vertices: int = 1
-) -> list[tuple[int, Graph]]:
+def _keyed_connected_graph_reps(max_vertices: int) -> list[tuple[int, Graph]]:
     """``connected_graph_reps`` with each graph's canonical form beside it."""
     if max_vertices < 1:
         return []
@@ -234,7 +232,4 @@ def _keyed_connected_graph_reps(
                 if key not in seen:
                     seen[key] = cand
         levels.append(sorted(seen.items()))
-    out: list[tuple[int, Graph]] = []
-    for n in range(min_vertices, max_vertices + 1):
-        out.extend(levels[n - 1])
-    return out
+    return [item for level in levels for item in level]

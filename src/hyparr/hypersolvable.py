@@ -29,9 +29,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb
-from typing import Optional
+from typing import Optional, Sequence
 
-from .arrangement import Arrangement, _mask
+from .arrangement import Arrangement, _indices, _mask
 from .errors import InputError, InternalInvariantViolation
 from .intlinalg import RATIONALS
 from .osalgebra import IdealKind, hilbert, ideal_lattice
@@ -59,22 +59,18 @@ class Classification:
     p_raw: bool  # p reported as the raw sup although not hypersolvable
 
 
-def _members(mask: int) -> list[int]:
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
-
-
 def _unclosed(line: list[list[int]], s: int, whole: int) -> Optional[tuple[int, int, int]]:
     """Condition (I): every line through two members of s stays inside s.
 
     Only hyperplanes of ``whole`` count.  Returns None when s is closed, else
     the first (d, x, y): d outside s on the line through x != y in s.
     """
-    inside = _members(s)
-    for d in _members(whole & ~s):
+    inside = _indices(s)
+    for d in _indices(whole & ~s):
         for x in inside:
             others = line[d][x] & s & ~(1 << x)
             if others:
-                return d, x, _members(others)[0]
+                return d, x, _indices(others)[0]
     return None
 
 
@@ -86,7 +82,7 @@ def _f(line: list[list[int]], s: int, d: int, d2: int) -> Optional[int]:
     hits = line[d][d2] & s
     if hits & (hits - 1):
         raise InternalInvariantViolation(
-            f"f({d},{d2}) not unique although closedness held: {_members(hits)}"
+            f"f({d},{d2}) not unique although closedness held: {_indices(hits)}"
         )
     return hits.bit_length() - 1 if hits else None
 
@@ -130,7 +126,7 @@ def solvable_extension_check(
     return True, None
 
 
-def _extensions(line: list[list[int]], s: int, rest: list[int]) -> list[tuple[int, ...]]:
+def _extensions(line: list[list[int]], s: int, rest: Sequence[int]) -> list[tuple[int, ...]]:
     """Every nonempty D in ``rest`` meeting (II) and (III) over s, by size then lex.
 
     Both conditions pass to subsets, so D grows one hyperplane at a time
@@ -152,7 +148,7 @@ def _grow(
     f: dict[tuple[int, int], int],
     out: list[tuple[int, ...]],
     dset: tuple[int, ...],
-    allowed: list[int],
+    allowed: Sequence[int],
 ) -> None:
     """Append to ``out`` every passing dset + (d, ...) with d from ``allowed``."""
     for k, d in enumerate(allowed):
@@ -187,7 +183,7 @@ def composition_series(a: Arrangement) -> Optional[CompositionSeries]:
         for start in range(n):
             masks = _extend(line, full, dead, 1 << start, [1 << start])
             if masks is not None:
-                chain = [tuple(_members(m)) for m in masks]
+                chain = [_indices(m) for m in masks]
                 exps = [1] + [
                     len(chain[k + 1]) - len(chain[k]) for k in range(len(chain) - 1)
                 ]
@@ -216,7 +212,7 @@ def _extend(
     # not closed in the whole arrangement can never finish a chain;
     # a closed one is closed inside every s + D, leaving (II), (III)
     if _unclosed(line, s, full) is None:
-        for dset in _extensions(line, s, _members(full & ~s)):
+        for dset in _extensions(line, s, _indices(full & ~s)):
             t = s | _mask(dset)
             got = _extend(line, full, dead, t, chain + [t])
             if got is not None:

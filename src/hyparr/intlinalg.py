@@ -5,6 +5,10 @@ torsion" bottoms out here.  All arithmetic is done with Python's
 arbitrary-precision ints; nothing in this module (or the package) touches
 floating point.
 
+Every rank follows one of two rules.  A rank over Q is the row count of a
+:class:`SparseHermite` basis.  A rank over F_p is the number of Smith
+invariant factors that p does not divide.
+
 Dense matrices are plain ``list[list[int]]`` rows.  The workhorses for the
 large, highly structured matrices coming from exterior-algebra coordinates
 are *sparse* rows, ``dict[int, int]`` mapping column index to a nonzero
@@ -342,12 +346,6 @@ def smith_normal_form(mat: Sequence[Sequence[int]]) -> SNFResult:
     return SNFResult(divisors, U, V)
 
 
-def _snf_divisors_dense(A: list[list[int]]) -> list[int]:
-    """Divisors only, same elimination, no transform bookkeeping."""
-    _snf_eliminate(A, None, None)
-    return [A[k][k] for k in range(min(len(A), len(A[0]) if A else 0)) if A[k][k]]
-
-
 def snf_divisors(rows: Iterable[Row | Sequence[int]]) -> list[int]:
     """Invariant factors of the lattice spanned by ``rows`` (sparse-friendly).
 
@@ -423,8 +421,8 @@ def snf_divisors(rows: Iterable[Row | Sequence[int]]) -> list[int]:
         for c, v in r.items():
             line[cmap[c]] = v
         dense.append(line)
-    core = _snf_divisors_dense(dense)
-    return [1] * ones + core
+    _snf_eliminate(dense, None, None)
+    return [1] * ones + [dense[k][k] for k in range(min(len(dense), len(cols))) if dense[k][k]]
 
 
 class SparseHermite:
@@ -604,43 +602,20 @@ def hermite_basis(mat: Sequence[Sequence[int]]) -> list[list[int]]:
 
 
 def rank_over_field(mat: Sequence[Sequence[int]], field: FieldSpec) -> int:
-    """Rank of ``mat`` with entries specialized to the given field."""
-    _validate(mat)
+    """Rank of ``mat`` with entries specialized to the given field.
+
+    Over Q it is the row count of the Hermite basis; over F_p it is the
+    number of Smith invariant factors that p does not divide.
+    """
+    nc = _validate(mat)
     if field.characteristic == 0:
         h = SparseHermite()
         for row in mat:
+            if h.rank == nc:
+                break
             h.insert(row)
         return h.rank
-    return rank_mod_p((dict(enumerate(r)) for r in mat), field.characteristic)
-
-
-def rank_mod_p(rows: Iterable[Row], p: int) -> int:
-    """Rank over F_p of sparse rows via Gaussian elimination."""
-    pivots: dict[int, Row] = {}
-    for row in rows:
-        r = {k: v % p for k, v in row.items() if v % p}
-        while r:
-            j = min(r)
-            piv = pivots.get(j)
-            if piv is None:
-                inv = pow(r[j], p - 2, p) if p > 2 else r[j]
-                r = {k: (v * inv) % p for k, v in r.items()}
-                r = {k: v for k, v in r.items() if v}
-                pivots[j] = r
-                break
-            c = r[j]
-            nr = {}
-            for k, v in r.items():
-                w = (v - c * piv.get(k, 0)) % p
-                if w:
-                    nr[k] = w
-            for k, v in piv.items():
-                if k not in r:
-                    w = (-c * v) % p
-                    if w:
-                        nr[k] = w
-            r = nr
-    return len(pivots)
+    return sum(1 for d in snf_divisors(mat) if d % field.characteristic)
 
 
 def quotient_invariants(
@@ -663,32 +638,3 @@ def quotient_invariants(
         free_rank=ambient_rank - len(divs),
         torsion_factors=tuple(d for d in divs if d > 1),
     )
-
-
-def int_rank(vectors: Sequence[Sequence[int]]) -> int:
-    """Rank over Q of integer vectors, by exact fraction-free elimination."""
-    A = [list(map(int, v)) for v in vectors if any(v)]
-    if not A:
-        return 0
-    nc = len(A[0])
-    rank = 0
-    prev = 1
-    for col in range(nc):
-        piv = None
-        for i in range(rank, len(A)):
-            if A[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        A[rank], A[piv] = A[piv], A[rank]
-        for i in range(rank + 1, len(A)):
-            if any(A[i][col + 1 :]) or A[i][col]:
-                for j in range(col + 1, nc):
-                    A[i][j] = (A[i][j] * A[rank][col] - A[i][col] * A[rank][j]) // prev
-                A[i][col] = 0
-        prev = A[rank][col]
-        rank += 1
-        if rank == len(A):
-            break
-    return rank

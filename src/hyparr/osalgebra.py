@@ -143,11 +143,7 @@ class IdealLattice:
     def rank_over(self, field: FieldSpec) -> int:
         if self.hnf is None or field.characteristic == 0:
             return self.rank
-        if self.hnf.all_unit_pivots():
-            # unit pivots make every divisor 1, so no rank drop at any prime
-            return self.rank
-        p = field.characteristic
-        return self.rank - sum(1 for d in self.divisors() if d % p == 0)
+        return sum(1 for d in self.divisors() if d % field.characteristic)
 
 
 def _check_degree(a: Arrangement, q: int) -> None:
@@ -548,11 +544,18 @@ def quotient_invariants_graded(a: Arrangement, quotient: str, q: int) -> Abelian
         raise InputError(f"unknown quotient {quotient!r}, expected one of {QUOTIENTS}")
     _check_degree(a, q)
     if quotient == "IND":
-        if ideal_lattice(a, IdealKind.FULL, q).saturated:
+        full = ideal_lattice(a, IdealKind.FULL, q)
+        if full.saturated:
             # above the rank both ideals are all of the degree: zero quotient
             return AbelianInvariants(0, ())
-        rows = indecomposable_relation_rows(a, q)
-        return quotient_invariants(ideal_lattice(a, IdealKind.FULL, q).rank, rows)
+        # (I / Lambda+ I)^q is Z^rank(I^q) modulo the decomposable rows,
+        # written in the coordinates of the full ideal's basis
+        pos = {p: i for i, p in enumerate(sorted(full.hnf.pivots))}
+        rows = []
+        for row in ideal_lattice(a, IdealKind.DECOMPOSABLE, q).hnf.rows_sorted():
+            coords = full.hnf.coordinates(row)
+            rows.append({pos[p]: v for p, v in coords.items()})
+        return quotient_invariants(full.rank, rows)
     lat = ideal_lattice(a, _KIND_OF_QUOTIENT[quotient], q)
     divs = lat.divisors()
     return AbelianInvariants(
@@ -561,38 +564,20 @@ def quotient_invariants_graded(a: Arrangement, quotient: str, q: int) -> Abelian
     )
 
 
-def indecomposable_relation_rows(a: Arrangement, q: int) -> list[dict[int, int]]:
-    """Coordinates of the decomposable sublattice in the full ideal's basis.
-
-    The quotient of Z^rank(I^q) by these rows presents (I / Lambda+ I)^q.
-    """
-    full = ideal_lattice(a, IdealKind.FULL, q)
-    dec = ideal_lattice(a, IdealKind.DECOMPOSABLE, q)
-    if full.saturated:
-        # both lattices are all of Z^ncols; the quotient is presented by
-        # the identity on the full basis
-        return [{k: 1} for k in range(full.ncols)]
-    pivots_sorted = sorted(full.hnf.pivots)
-    pos = {p: i for i, p in enumerate(pivots_sorted)}
-    rows = []
-    for row in dec.hnf.rows_sorted():
-        coords = full.hnf.coordinates(row)
-        rows.append({pos[p]: v for p, v in coords.items()})
-    return rows
-
-
 def discovered_torsion_primes(a: Arrangement) -> list[int]:
-    """Primes dividing invariant factors of the torsion-bearing quotients.
+    """Primes dividing an invariant factor of the decomposable quotient.
 
     Torsion can only live in degrees 2..rank: the ideals vanish below
-    degree 2 and fill their degree completely above the rank.
+    degree 2 and fill their degree completely above the rank.  Reading
+    Aplus alone loses nothing: the full basis is unit-triangular, so
+    Lambda^q / I^q is free, the sequence 0 -> I / Lambda+ I -> Lambda /
+    Lambda+ I -> Lambda / I -> 0 splits in each degree, and Aplus and IND
+    have the same invariant factors above 1.
     """
     primes: set[int] = set()
     for q in range(2, min(a.rank(), a.n) + 1):
-        for quotient in ("Aplus", "IND"):
-            inv = quotient_invariants_graded(a, quotient, q)
-            for d in inv.torsion_factors:
-                primes.update(prime_factors(d))
+        for d in quotient_invariants_graded(a, "Aplus", q).torsion_factors:
+            primes.update(prime_factors(d))
     return sorted(primes)
 
 

@@ -325,10 +325,48 @@ def test_graphic_search_reuses_enumeration_forms(monkeypatch, tmp_path):
 
 
 def test_search_bounds(capsys, tmp_path):
-    assert main(["search", "--family", "graphic", "--max-size", "9",
-                 "--output", str(tmp_path / "x.jsonl")]) == 1
-    assert main(["search", "--family", "random2g", "--max-size", "13",
-                 "--output", str(tmp_path / "y.jsonl")]) == 1
+    out = tmp_path / "x.jsonl"
+    for bounds in (
+        ["--family", "graphic", "--max-size", "9"],
+        ["--family", "graphic", "--max-size", "0"],
+        ["--family", "graphic", "--max-size", "-3"],
+        ["--family", "random2g", "--max-size", "13"],
+        ["--family", "random2g", "--max-size", "3"],
+        ["--family", "random2g", "--max-size", "6", "--count", "0"],
+        ["--family", "random2g", "--max-size", "6", "--count", "-1"],
+        ["--family", "graphic", "--max-size", "4", "--jobs", "0"],
+        ["--family", "random2g", "--max-size", "6", "--jobs", "-2"],
+    ):
+        assert main(["search", *bounds, "--output", str(out)]) == 1, bounds
+        assert "error:" in capsys.readouterr().err, bounds
+        assert not out.exists(), bounds
+
+
+def test_search_pool_never_exceeds_the_cpus(monkeypatch, tmp_path):
+    # a stub pool records its size and maps in-process, so no worker starts
+    import concurrent.futures
+    import os
+
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+        def shutdown(self):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    serial = tmp_path / "j1.jsonl"
+    wide = tmp_path / "wide.jsonl"
+    for out, jobs in ((serial, "1"), (wide, "100000")):
+        assert main(["search", "--family", "graphic", "--max-size", "4",
+                     "--jobs", jobs, "--output", str(out)]) == 0
+    assert len(sizes) == 1 and 1 <= sizes[0] <= (os.cpu_count() or 1)
+    assert serial.read_bytes() and serial.read_bytes() == wide.read_bytes()
 
 
 def test_analyze_bound_rejects_before_any_work(monkeypatch, capsys, tmp_path):

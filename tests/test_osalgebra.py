@@ -13,9 +13,10 @@ from hyparr.arrangement import build, from_graph
 from hyparr.errors import InputError, InternalInvariantViolation
 from hyparr.exterior import delta, generator, monomial, wedge
 from hyparr.graphs import connected_graph_reps, make_graph
-from hyparr.intlinalg import FieldSpec, RATIONALS, SparseHermite
+from hyparr.intlinalg import AbelianInvariants, FieldSpec, RATIONALS, SparseHermite
 from hyparr.osalgebra import (
     IdealKind,
+    IdealLattice,
     _generator_stream,
     chordless_span_check,
     hilbert,
@@ -180,6 +181,59 @@ def test_r2_field_independent_everywhere():
     for arr in (from_graph(THETA), build(4, TWOGEN7), boolean(4)):
         table = r_table(arr)
         assert table.field_independent[2]
+
+
+def test_aplus_and_ind_share_torsion():
+    # the full basis is unit-triangular, so Lambda/I is free and the r-table
+    # may read its torsion primes off Aplus alone
+    from hyparr.cli import _random_2generic_instances, parse_input
+
+    arrs = [parse_input(str(p)) for p in sorted(FIXTURES.iterdir())]
+    arrs += [from_graph(g) for g in connected_graph_reps(6)]
+    arrs += [build(dim, normals) for _, dim, normals in _random_2generic_instances(5, 10, 20)]
+    pairs = 0
+    for arr in arrs:
+        for q in range(2, min(arr.rank(), arr.n) + 1):
+            aplus = quotient_invariants_graded(arr, "Aplus", q)
+            ind = quotient_invariants_graded(arr, "IND", q)
+            assert aplus.torsion_factors == ind.torsion_factors, (arr.normals, q)
+            pairs += 1
+    assert pairs > 600
+
+
+def test_r_table_needs_no_ind_coordinates(monkeypatch):
+    k6 = make_graph(6, list(itertools.combinations(range(6), 2)))
+    expected = [r_table(from_graph(g)) for g in (k6, THETA)]
+
+    def refuse(self, row):
+        raise AssertionError("r_table asked for IND coordinates")
+
+    monkeypatch.setattr(SparseHermite, "coordinates", refuse)
+    assert [r_table(from_graph(g)) for g in (k6, THETA)] == expected
+
+
+def test_r_table_adds_a_discovered_prime(monkeypatch):
+    import hyparr.osalgebra as osalgebra
+
+    real = osalgebra.quotient_invariants_graded
+
+    def with_torsion(arr, quotient, q):
+        inv = real(arr, quotient, q)
+        if quotient == "Aplus" and q == 2:
+            return AbelianInvariants(inv.free_rank, (14,))
+        return inv
+
+    monkeypatch.setattr(osalgebra, "quotient_invariants_graded", with_torsion)
+    table = r_table(from_graph(THETA))
+    assert [f.characteristic for f in table.fields] == [0, 2, 3, 5, 7]
+
+
+def test_rank_over_at_a_non_unit_pivot():
+    h = SparseHermite()
+    h.pivots = {0: {0: 6}, 1: {1: 1}}
+    lat = IdealLattice(IdealKind.DECOMPOSABLE, 1, 2, h)
+    assert [lat.rank_over(FieldSpec(p)) for p in (2, 3, 5)] == [1, 1, 2]
+    assert lat.rank_over(RATIONALS) == 2
 
 
 def test_chordless_span_onto():
