@@ -383,6 +383,9 @@ def main(argv=None) -> int:
     except InternalInvariantViolation as exc:
         print(f"INTERNAL INVARIANT VIOLATION: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        print(f"error: out of memory during {args.command}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

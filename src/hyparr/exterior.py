@@ -189,13 +189,3 @@ def basis(n: int, q: int) -> tuple[tuple[int, ...], ...]:
 @lru_cache(maxsize=None)
 def basis_index(n: int, q: int) -> dict[tuple[int, ...], int]:
     return {tup: k for k, tup in enumerate(basis(n, q))}
-
-
-def from_coordinates(n: int, q: int, vector) -> ExteriorElement:
-    """Inverse of ExteriorElement.coordinates for the basis(n, q) order."""
-    mons = basis(n, q)
-    if isinstance(vector, dict):
-        terms = {mons[k]: c for k, c in vector.items() if c}
-    else:
-        terms = {mons[k]: c for k, c in enumerate(vector) if c}
-    return ExteriorElement(q, terms)

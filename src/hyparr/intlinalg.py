@@ -187,21 +187,6 @@ def identity_matrix(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
-    nb = len(b)
-    out = []
-    for row in a:
-        acc = [0] * (len(b[0]) if nb else 0)
-        for k, v in enumerate(row):
-            if v:
-                brow = b[k]
-                for j, w in enumerate(brow):
-                    if w:
-                        acc[j] += v * w
-        out.append(acc)
-    return out
-
-
 def transpose(m: Sequence[Sequence[int]]) -> list[list[int]]:
     if not m:
         return []
@@ -575,9 +560,8 @@ def _row_submul(r: Row, src: Row, q: int) -> None:
 
 
 def _row_combine(a: int, r1: Row, b: int, r2: Row) -> Row:
-    out: Row = {}
-    for k, v in r1.items():
-        out[k] = a * v
+    # a * r1 + b * r2, dropping zeros; xgcd may return a = 0
+    out: Row = {k: a * v for k, v in r1.items()} if a else {}
     for k, v in r2.items():
         nv = out.get(k, 0) + b * v
         if nv:

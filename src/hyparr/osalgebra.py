@@ -22,8 +22,11 @@ as an echelon basis whose pivot is the smallest column of its row:
   containing a 3-circuit and, on the other columns, one row of 1 or 3
   entries +-1 per (q+1)-set whose 3-circuits share a point.  The first
   row per leading column and the monomials form a unit-triangular family;
-  when it has rank I^q rows it is the basis (Q^q = I^q) and nothing is
-  eliminated, otherwise the remaining short rows are.
+  when it has rank I^q rows it is the basis (Q^q = I^q) and no other row
+  is generated.  Otherwise every row is generated: the 1-entry rows become
+  monomial pivots, their columns are stripped from the 3-entry rows until
+  no row is left with one entry, the first stripped row per leading column
+  becomes its pivot, and only the rows left over are eliminated.
 
 Above the rank FULL and DECOMPOSABLE fill their degree and are marked
 saturated.  Every rank, Hilbert coefficient, torsion check and membership
@@ -379,6 +382,27 @@ def _free_sets(third: list[list[int]], n: int, q: int) -> list[tuple[int, int, i
     return out
 
 
+def _three_circuit_tables(a: Arrangement) -> tuple[list[list[int]], list[list[int]]]:
+    """``(third, pairs)`` for the 3-circuits, built once per arrangement.
+
+    third[x][y] is the mask of the z with {x, y, z} a 3-circuit, and
+    pairs[u] lists the masks of the {x, y} with {u, x, y} a 3-circuit.
+    """
+    hit = a.cache.get("three_circuit_tables")
+    if hit is None:
+        n = a.n
+        third = [[0] * n for _ in range(n)]
+        pairs: list[list[int]] = [[] for _ in range(n)]
+        for c in a.circuits(min(3, n)):
+            for x, y, z in itertools.permutations(c):
+                third[x][y] |= 1 << z
+            cm = _mask(c)
+            for u in c:
+                pairs[u].append(cm ^ 1 << u)
+        hit = a.cache["three_circuit_tables"] = (third, pairs)
+    return hit
+
+
 def _quadratic_basis(a: Arrangement, q: int) -> SparseHermite:
     """Echelon basis of the degree-q quadratic ideal Q^q from short rows.
 
@@ -397,18 +421,18 @@ def _quadratic_basis(a: Arrangement, q: int) -> SparseHermite:
     Each U gives one row of 1 or 3 entries +-1 whose smallest column is T.
     The first row per T, signed to lead +1, and the unit rows of M form a
     unit-triangular family, so they span a saturated lattice inside
-    Q^q <= I^q.  When that family has rank I^q rows it is Q^q = I^q and
-    nothing is eliminated; otherwise the other rows are inserted by
-    leading column.  A rank above rank I^q is a contradiction.
+    Q^q <= I^q.  When that family has rank I^q rows it is Q^q = I^q and no
+    other row is generated.  Otherwise every row is generated and the unit
+    rows are pivoted on first: each one makes its T a monomial of Q^q,
+    ``_strip_to_fixpoint`` removes such columns from the 3-entry rows
+    until no row is left with a single entry, the first row per remaining
+    smallest column becomes its pivot, and only the rest are inserted, by
+    smallest column and length.  A rank above rank I^q is a contradiction.
     """
     n = a.n
-    three = a.circuits(min(3, n))
-    if not three:
+    third, pairs = _three_circuit_tables(a)
+    if not any(pairs):
         return SparseHermite()  # I_2 = 0, so Q is zero in every degree
-    third = [[0] * n for _ in range(n)]  # third[x][y]: the z with {x, y, z} a 3-circuit
-    for c in three:
-        for x, y, z in itertools.permutations(c):
-            third[x][y] |= 1 << z
     free = _free_sets(third, n, q)
     col_of = {tm: t for t, tm, _ in free}
     h = SparseHermite()
@@ -418,17 +442,35 @@ def _quadratic_basis(a: Arrangement, q: int) -> SparseHermite:
         if col not in free_cols:
             pivots[col] = {col: 1}  # the monomials of M
     for t, tm, forbid in free:
-        row = next(_leibniz_rows(third, col_of, t, tm, forbid), None)
+        row = next(_leibniz_rows(pairs, col_of, t, tm, forbid), None)
         if row is not None:
             pivots[t] = row
     expected = comb(n, q) - (a.betti_mobius()[q] if q <= a.rank() else 0)
     if h.rank < expected:
-        rest = [
-            row
-            for t, tm, forbid in free
-            for row in itertools.islice(_leibniz_rows(third, col_of, t, tm, forbid), 1, None)
-        ]
-        # by leading column, unit rows first, which keeps the fill low
+        for t in free_cols:
+            pivots.pop(t, None)  # generated again below, with every other row
+        killed: set[int] = set()
+        rows = []
+        for t, tm, forbid in free:
+            for row in _leibniz_rows(pairs, col_of, t, tm, forbid):
+                if len(row) == 1:
+                    killed.add(t)  # K(U) = {u}: e_T is in Q^q
+                else:
+                    rows.append(row)
+        rows = _strip_to_fixpoint(rows, killed)
+        for c in killed:
+            pivots[c] = {c: 1}
+        rest = []
+        for row in rows:
+            lead = min(row)
+            if lead in pivots:
+                rest.append(row)
+            else:
+                if row[lead] < 0:
+                    for c in row:
+                        row[c] = -row[c]
+                pivots[lead] = row
+        # by leading column, shorter rows first, which keeps the fill low
         rest.sort(key=lambda r: (min(r), len(r)))
         for row in rest:
             h.insert(row)
@@ -440,34 +482,67 @@ def _quadratic_basis(a: Arrangement, q: int) -> SparseHermite:
     return h
 
 
-def _leibniz_rows(third: list[list[int]], col_of: dict[int, int], t: int, tm: int, forbid: int):
+def _strip_to_fixpoint(rows: list[dict[int, int]], killed: set[int]) -> list[dict[int, int]]:
+    """Remove the killed columns from the rows, in place, to a fixpoint.
+
+    ``killed`` holds columns c with e_c in the lattice, so removing an
+    entry at c subtracts a lattice vector: the entries stay +-1 and the
+    rows with the e_c still span the same lattice.  A row left with one
+    entry kills that column too.  Passes repeat until one kills nothing;
+    returns the rows left with two or more entries, in their order.
+    """
+    while True:
+        before = len(killed)
+        live = []
+        for row in rows:
+            if not killed.isdisjoint(row):
+                for c in [c for c in row if c in killed]:
+                    del row[c]
+            if len(row) > 1:
+                live.append(row)
+            elif row:
+                killed.update(row)
+        rows = live
+        if len(killed) == before:
+            return rows
+
+
+def _leibniz_rows(pairs: list[list[int]], col_of: dict[int, int], t: int, tm: int, forbid: int):
     """The rows pi(delta(e_U)) led by the free q-set T (mask tm, column t).
 
     U runs over T + u for the u in ``forbid`` with u = max K(U), in
-    ascending u; each row is signed so that its entry at t is +1.
+    ascending u; each row is signed so that its entry at t is +1.  The
+    members of T on a 3-circuit with u are the union of the pairs of u
+    that lie inside T; exactly two of them, x < y, give K(U) = {u, x, y}.
     """
-    members = [x for x in range(len(third)) if tm >> x & 1]
     while forbid:
         low = forbid & -forbid
         forbid ^= low
-        u = low.bit_length() - 1
-        closing = third[u]
-        pair = [x for x in members if closing[x] & tm]
-        if len(pair) != 2:
+        on = 0
+        for pm in pairs[low.bit_length() - 1]:
+            if pm & tm == pm:
+                on |= pm
+        if on.bit_count() != 2:
             yield {t: 1}  # K(U) = {u}, so e_T itself lies in Q^q
-        elif pair[1] < u:
+        elif on < low:
             um = tm | low
-            lead = _pos_sign(um, u)
-            row = {t: 1}
-            for x in pair:
-                row[col_of[um ^ 1 << x]] = lead * _pos_sign(um, x)
-            yield row
-        # otherwise U is built from T + u - pair[1], where pair[1] is max K(U)
+            lead = _pos_sign(um, low)
+            x = on & -on
+            y = on ^ x
+            yield {
+                t: 1,
+                col_of[um ^ x]: lead * _pos_sign(um, x),
+                col_of[um ^ y]: lead * _pos_sign(um, y),
+            }
+        # otherwise U is built from T + u - y, and y is max K(U)
 
 
-def _pos_sign(mask: int, x: int) -> int:
-    """(-1)^k for x the k-th smallest member of mask: the sign of e_(U-x) in delta(e_U)."""
-    return -1 if (mask & ((1 << x) - 1)).bit_count() % 2 else 1
+def _pos_sign(mask: int, bit: int) -> int:
+    """(-1)^k for ``bit`` = 1 << x, x the k-th smallest member of mask.
+
+    With mask U it is the sign of e_(U-x) in delta(e_U).
+    """
+    return -1 if (mask & (bit - 1)).bit_count() % 2 else 1
 
 
 def ideal_lattice(a: Arrangement, kind: IdealKind, q: int) -> IdealLattice:

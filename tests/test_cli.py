@@ -464,6 +464,24 @@ def test_internal_violation_exit3(monkeypatch, capsys):
     assert "INTERNAL INVARIANT VIOLATION" in capsys.readouterr().err
 
 
+def test_memory_error_exits_1_without_traceback(monkeypatch, capsys, tmp_path):
+    import hyparr.cli as cli
+
+    def exhausted(arr):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "classify", exhausted)
+    runs = (
+        ["analyze", "--input", str(FIXTURES / "k3.graph")],
+        ["search", "--family", "random2g", "--max-size", "5", "--count", "1",
+         "--jobs", "1", "--output", str(tmp_path / "out.jsonl")],
+    )
+    for argv in runs:
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err, err
+
+
 def test_torsion_found_line_dumps_matrix(monkeypatch):
     # no known input produces torsion, so exercise the reporting path by
     # stubbing the gr1 computation

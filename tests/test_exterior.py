@@ -10,13 +10,19 @@ from hyparr.exterior import (
     ExteriorElement,
     basis,
     delta,
-    from_coordinates,
     generator,
     monomial,
     one,
     wedge,
     zero,
 )
+
+
+def from_coordinates(n, q, vector):
+    """Inverse of ExteriorElement.coordinates for the basis(n, q) order."""
+    mons = basis(n, q)
+    items = vector.items() if isinstance(vector, dict) else enumerate(vector)
+    return ExteriorElement(q, {mons[k]: c for k, c in items if c})
 
 
 def rand_element(rng, n, q, nterms=3, lo=-4, hi=4):

@@ -10,7 +10,7 @@ from hyparr import homotopy
 from hyparr.arrangement import build, from_graph
 from hyparr.cli import _random_2generic_instances, parse_input
 from hyparr.errors import InternalInvariantViolation, PreconditionError
-from hyparr.exterior import from_coordinates, generator, wedge
+from hyparr.exterior import ExteriorElement, basis, generator, wedge
 from hyparr.graphs import connected_graph_reps, make_graph
 from hyparr.homotopy import (
     gr0_rank,
@@ -191,9 +191,10 @@ def mu_rows_by_wedge(arr):
     quad2.canonicalize()
     assert quad2.all_unit_pivots()
     free2 = [j for j in range(comb(n, p + 2)) if j not in quad2.pivots]
+    mons = basis(n, p + 1)
     rows = []
     for lam in gr0:
-        elt = from_coordinates(n, p + 1, lam)
+        elt = ExteriorElement(p + 1, {mons[k]: c for k, c in lam.items() if c})
         for h in range(n):
             w = wedge(elt, generator(h)).sparse_coordinates(n)
             pivot_part = {j: w[j] for j in w if j in quad2.pivots}

@@ -20,7 +20,6 @@ from hyparr.intlinalg import (
     hermite_basis,
     identity_matrix,
     is_prime,
-    mat_mul,
     prime_factors,
     quotient_invariants,
     rank_over_field,
@@ -183,6 +182,10 @@ def test_snf_worked_example():
 def test_snf_zero_matrix():
     assert smith_normal_form([[0]]).divisors == []
     assert smith_normal_form([]).divisors == []
+
+
+def mat_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
 def check_snf_contract(m):
@@ -448,3 +451,18 @@ def test_sparse_hermite_membership_and_coordinates():
         for c, v in h.pivots[piv].items():
             rebuilt[c] = rebuilt.get(c, 0) + q * v
     assert {k: v for k, v in rebuilt.items() if v} == {0: 4, 1: -3, 2: 2}
+
+
+def test_sparse_hermite_stores_no_zero_entries():
+    # xgcd(2, 1) = (1, 0, 1): the new pivot row is 0 * {0: 2, 1: 1} + {0: 1},
+    # which must not keep a zero at column 1
+    h = SparseHermite()
+    h.insert({0: 2, 1: 1})
+    h.insert({0: 1})
+    assert all(v for row in h.pivots.values() for v in row.values()), h.pivots
+    direct = SparseHermite()
+    direct.insert({0: 1})
+    direct.insert({1: 1})
+    for lat in (h, direct):
+        lat.canonicalize()
+    assert h.pivots == direct.pivots == {0: {0: 1}, 1: {1: 1}}

@@ -467,6 +467,38 @@ def test_direct_quadratic_matches_elimination(monkeypatch):
     assert certified >= 20 and eliminated >= 20
 
 
+def test_both_quadratic_routes_are_exercised(monkeypatch):
+    # without this the comparison above could pass without ever reaching
+    # the uncertified route or a column that only the fixpoint kills
+    import hyparr.osalgebra as osalgebra
+
+    strip = osalgebra._strip_to_fixpoint
+    calls = fixpoint_kills = 0
+
+    def counted(rows, killed):
+        nonlocal calls, fixpoint_kills
+        before = set(killed)
+        live = strip(rows, killed)
+        calls += 1
+        fixpoint_kills += len(killed) > len(before)
+        assert before <= killed
+        assert all(len(row) > 1 and killed.isdisjoint(row) for row in live)
+        return live
+
+    monkeypatch.setattr(osalgebra, "_strip_to_fixpoint", counted)
+    certified = uncertified = 0
+    for arr in direct_construction_inputs():
+        for q in range(3, arr.n + 1):
+            before = calls
+            lat = ideal_lattice(arr, IdealKind.QUADRATIC, q)
+            if calls > before:
+                uncertified += 1
+            elif any(len(row) == 3 for row in lat.hnf.pivots.values()):
+                certified += 1  # first Leibniz rows as pivots, nothing else generated
+    assert certified >= 20 and uncertified >= 20 and fixpoint_kills >= 20, (
+        certified, uncertified, fixpoint_kills)
+
+
 def test_full_rank_check_raises_on_a_wrong_betti_number(monkeypatch):
     from hyparr.arrangement import Arrangement
 
