@@ -8,6 +8,12 @@ only the prefixes that tie for the minimal string so far are extended,
 each only by the vertices that give the minimal next segment, and twin
 vertices are expanded once.  The form is the deduplication key for
 isomorphism classes and the memoization key for deletion-contraction.
+
+The same search yields generators of the automorphism group: the maps
+between its tied vertex orders plus the swaps of twins.  The connected
+graph enumeration uses them to canonicalize one attachment mask per
+automorphism orbit of the parent instead of every mask (McKay,
+"Isomorph-free exhaustive generation", J. Algorithms 26, 1998).
 """
 
 from __future__ import annotations
@@ -62,6 +68,12 @@ def canonical_form(g: Graph) -> int:
     (0,3),... and is returned packed as an integer with the pair (0,1) in
     the most significant position, so numeric order equals lexicographic
     order on the bit-strings.
+    """
+    return _lexmin_search(g)[0]
+
+
+def _lexmin_search(g: Graph) -> tuple[int, list[tuple[tuple[int, ...], int]], list[int]]:
+    """The canonical form, the tied leaves of its search and the twin classes.
 
     Placing the vertex at position j appends a segment of exactly j bits,
     its adjacency to the vertices at positions 0..j-1, so the minimal
@@ -75,6 +87,10 @@ def canonical_form(g: Graph) -> int:
     lowest is expanded, because swapping twins is an automorphism fixing
     every other vertex; this keeps empty, complete and multipartite
     graphs from branching factorially.
+
+    A leaf is a full order that spells the minimal string, given as its
+    tuple of placed masks.  Twin classes are returned as vertex masks
+    with at least two members.
     """
     n = g.vertex_count
     nbrs = [0] * n
@@ -89,7 +105,9 @@ def canonical_form(g: Graph) -> int:
                 classes[u] = classes.get(u, 0) | 1 << v
                 break
     twin_classes = [c for c in classes.values() if c & (c - 1)]
-    non_nbrs = [~m for m in nbrs]
+    # the non-neighbours of v, with bit n + v cleared to tag the vertex;
+    # candidates never reach that high, so the tag changes no intersection
+    non_nbrs = [~(m | 1 << (n + v)) for v, m in enumerate(nbrs)]
     form = 0
     # a prefix: the non-neighbour masks of its placed vertices, in order,
     # and the mask of the vertices not yet placed
@@ -122,7 +140,38 @@ def canonical_form(g: Graph) -> int:
                 low = cand & -cand
                 cand ^= low
                 frontier.append((placed + (non_nbrs[low.bit_length() - 1],), unplaced ^ low))
-    return form
+    return form, frontier, twin_classes
+
+
+def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
+    """Generators of Aut(g), each a tuple sending vertex v to image[v].
+
+    Every leaf order of the canonical-form search spells the minimal
+    string, so mapping the first leaf order onto any other, position by
+    position, preserves adjacency.  The minimal orders are the images of
+    the first leaf order under the whole group, and the leaves are those
+    that place each twin class in ascending order, which any minimal
+    order reaches by twin swaps.  So the leaf maps together with the
+    swaps of consecutive members of each twin class generate the group.
+    """
+    n = g.vertex_count
+    _, leaves, twin_classes = _lexmin_search(g)
+    # each placed mask names its vertex v by the tag bit n + v
+    orders = [[(~non >> n).bit_length() - 1 for non in placed] for placed, _ in leaves]
+    first = orders[0]
+    gens = []
+    for order in orders[1:]:
+        image = [0] * n
+        for u, v in zip(first, order):
+            image[u] = v
+        gens.append(tuple(image))
+    for c in twin_classes:
+        members = [v for v in range(n) if c >> v & 1]
+        for u, v in zip(members, members[1:]):
+            image = list(range(n))
+            image[u], image[v] = v, u
+            gens.append(tuple(image))
+    return gens
 
 
 def is_connected(g: Graph) -> bool:
@@ -208,8 +257,14 @@ def connected_graph_reps(max_vertices: int) -> list[Graph]:
 
     Built incrementally: every connected graph on n vertices arises from a
     connected graph on n-1 vertices by attaching one new vertex to a
-    nonempty neighbor set (delete any non-cut vertex to see this).
-    Deterministic order: by vertex count, then canonical form.
+    nonempty neighbor set (delete any non-cut vertex to see this).  Masks
+    in one orbit of the parent's automorphism group give isomorphic
+    children, so only the smallest mask of each orbit is canonicalized.
+    The representative of a class is its first candidate, parents in
+    order and masks ascending, and that candidate is always the smallest
+    mask of its orbit, so skipping the rest of the orbit changes no
+    representative.  Deterministic order: by vertex count, then canonical
+    form.
     """
     return [g for _, g in _keyed_connected_graph_reps(max_vertices)]
 
@@ -222,7 +277,21 @@ def _keyed_connected_graph_reps(max_vertices: int) -> list[tuple[int, Graph]]:
     for n in range(2, max_vertices + 1):
         seen: dict[int, Graph] = {}
         for _, g in levels[-1]:
+            tables = [_mask_images(image) for image in automorphism_generators(g)]
+            marked = [False] * (1 << (n - 1))
             for mask in range(1, 1 << (n - 1)):
+                if marked[mask]:
+                    continue
+                # mask is the smallest of its orbit: mark the rest
+                marked[mask] = True
+                stack = [mask]
+                while stack:
+                    m = stack.pop()
+                    for table in tables:
+                        image = table[m]
+                        if not marked[image]:
+                            marked[image] = True
+                            stack.append(image)
                 edges = list(g.edges)
                 for w in range(n - 1):
                     if mask >> w & 1:
@@ -233,3 +302,12 @@ def _keyed_connected_graph_reps(max_vertices: int) -> list[tuple[int, Graph]]:
                     seen[key] = cand
         levels.append(sorted(seen.items()))
     return [item for level in levels for item in level]
+
+
+def _mask_images(image: tuple[int, ...]) -> list[int]:
+    """The image of every vertex mask under the vertex map ``image``."""
+    table = [0] * (1 << len(image))
+    for m in range(1, len(table)):
+        low = m & -m
+        table[m] = table[m ^ low] | 1 << image[low.bit_length() - 1]
+    return table

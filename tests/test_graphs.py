@@ -6,9 +6,11 @@ import random
 
 import pytest
 
+from hyparr import graphs
 from hyparr.errors import InputError
 from hyparr.graphs import (
     Graph,
+    automorphism_generators,
     canonical_form,
     chromatic_polynomial,
     connected_graph_reps,
@@ -157,8 +159,8 @@ def complete_multipartite(*sizes):
                           if part[u] != part[v]])
 
 
-def test_canonical_form_symmetric_families():
-    # twin-rich and vertex-transitive graphs, where most orders tie
+def symmetric_families():
+    """Twin-rich and vertex-transitive graphs, where most orders tie."""
     family = [make_graph(n, []) for n in range(8)]
     family += [k_n(n) for n in range(2, 8)]
     family += [
@@ -173,14 +175,102 @@ def test_canonical_form_symmetric_families():
         disjoint_union(k_n(2), k_n(2), k_n(3)),
         disjoint_union(k_n(2), k_n(3), make_graph(2, [])),
     ]
+    return family
+
+
+def test_canonical_form_symmetric_families():
     rng = random.Random(23)
-    for g in family:
+    for g in symmetric_families():
         expect = lexmin_oracle(g)
         assert canonical_form(g) == expect, g
         perm = list(range(g.vertex_count))
         rng.shuffle(perm)
         relabeled = make_graph(g.vertex_count, [(perm[u], perm[v]) for u, v in g.edges])
         assert canonical_form(relabeled) == expect, relabeled
+
+
+def brute_force_automorphisms(g):
+    edges = set(g.edges)
+    return {
+        perm for perm in itertools.permutations(range(g.vertex_count))
+        if all(tuple(sorted((perm[u], perm[v]))) in edges for u, v in edges)
+    }
+
+
+def generated_group(n, gens):
+    """Closure of the generators under composition, from the identity."""
+    group = {tuple(range(n))}
+    stack = list(group)
+    while stack:
+        perm = stack.pop()
+        for gen in gens:
+            prod = tuple(gen[v] for v in perm)
+            if prod not in group:
+                group.add(prod)
+                stack.append(prod)
+    return group
+
+
+def test_automorphism_generators_generate_the_group():
+    labelled = [
+        Graph(n, tuple(p for i, p in enumerate(pairs) if mask >> i & 1))
+        for n in range(6)
+        for pairs in [list(itertools.combinations(range(n), 2))]
+        for mask in range(1 << len(pairs))
+    ]
+    assert len(labelled) == 1100
+    for g in labelled + symmetric_families():
+        gens = automorphism_generators(g)
+        edges = set(g.edges)
+        for gen in gens:
+            assert sorted(gen) == list(range(g.vertex_count)), (g, gen)
+            assert {tuple(sorted((gen[u], gen[v]))) for u, v in edges} == edges, (g, gen)
+        assert generated_group(g.vertex_count, gens) == brute_force_automorphisms(g), g
+
+
+def unpruned_connected_graph_reps(max_vertices):
+    """Every attachment mask of every parent, first candidate per form."""
+    levels = [[(0, Graph(1, ()))]]
+    for n in range(2, max_vertices + 1):
+        seen = {}
+        for _, g in levels[-1]:
+            for mask in range(1, 1 << (n - 1)):
+                edges = g.edges + tuple((w, n - 1) for w in range(n - 1) if mask >> w & 1)
+                cand = Graph(n, tuple(sorted(edges)))
+                seen.setdefault(canonical_form(cand), cand)
+        levels.append(sorted(seen.items()))
+    return [item for level in levels for item in level]
+
+
+def mask_orbit_count(g):
+    """Orbits of Aut(g) on the nonempty vertex masks, by brute force."""
+    auts = brute_force_automorphisms(g)
+    n = g.vertex_count
+    return len({
+        min(sum(1 << perm[w] for w in range(n) if mask >> w & 1) for perm in auts)
+        for mask in range(1, 1 << n)
+    })
+
+
+def test_orbit_pruned_enumeration_matches_every_mask(monkeypatch):
+    reference = unpruned_connected_graph_reps(7)
+    calls = 0
+    original = graphs.canonical_form
+
+    def counting(g):
+        nonlocal calls
+        calls += 1
+        return original(g)
+
+    monkeypatch.setattr(graphs, "canonical_form", counting)
+    for n in range(1, 8):
+        calls = 0
+        pruned = graphs._keyed_connected_graph_reps(n)
+        # forms and representatives both, edges included
+        assert pruned == [item for item in reference if item[1].vertex_count <= n], n
+        # one call per orbit of the parent's automorphisms on the masks
+        assert calls == sum(mask_orbit_count(g) for _, g in pruned if g.vertex_count < n), n
+    assert calls == 4159
 
 
 def test_connected_graph_reps_counts():
