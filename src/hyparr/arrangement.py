@@ -16,7 +16,7 @@ arrangements remember their source graph for reporting.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
+from functools import cached_property, wraps
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
@@ -69,7 +69,9 @@ class Arrangement:
         self._independent: list[set[int]] = [{0}]
         self._frontier: list[tuple[tuple[int, ...], int, list]] = [((), 0, list(self._atoms))]
         self._lattice = None
-        self.cache: dict = {}  # scratch space for higher layers (os data etc.)
+        # results of the higher layers' @memo functions, keyed by
+        # (function, *arguments); nothing else reads or writes it
+        self.cache: dict = {}
 
     @property
     def n(self) -> int:
@@ -326,6 +328,24 @@ def build(
     labels: Optional[Sequence[str]] = None,
 ) -> Arrangement:
     return Arrangement(ambient_dim, normals, labels)
+
+
+def memo(fn):
+    """Store ``fn(a, *args)`` in ``a.cache``, keyed by fn and the arguments.
+
+    A call that raises stores nothing; a None result is stored like any
+    other, so a repeat call never recomputes it.
+    """
+
+    @wraps(fn)
+    def wrapper(a: Arrangement, *args):
+        key = (fn, *args)
+        if key in a.cache:
+            return a.cache[key]
+        result = a.cache[key] = fn(a, *args)
+        return result
+
+    return wrapper
 
 
 class IntersectionLattice:

@@ -1,9 +1,10 @@
 """Command-line interface: analyze, circuits, search.
 
-Exit codes: 0 full analysis, 1 bad input or I/O failure, 2 analysis ran
-but the homotopy pipeline was skipped (supersolvable or not hypersolvable
-input; the classification is still emitted), 3 internal invariant
-violation (a theorem failed; always a bug, never user error).
+Exit codes: 0 full analysis, 1 bad input (a usage error included) or I/O
+failure, 2 analysis ran but the homotopy pipeline was skipped
+(supersolvable or not hypersolvable input; the classification is still
+emitted), 3 internal invariant violation (a theorem failed; always a bug,
+never user error).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from random import Random
 from .arrangement import Arrangement, build, from_graph
 from .errors import InputError, InternalInvariantViolation, PreconditionError
 from .graphs import Graph, _keyed_connected_graph_reps, make_graph
-from .homotopy import gr1_invariants, mu_presentation, torsion_and_rank_report
+from .homotopy import mu_presentation
 from .hypersolvable import classify
 from .intlinalg import FieldSpec
 from .report import (
@@ -26,6 +27,7 @@ from .report import (
     canonical_json_line,
     classification_block,
     emit_report,
+    homotopy_fields,
     render_text,
 )
 
@@ -135,7 +137,10 @@ def _parse_fields(spec: str | None):
             characteristic = int(tok)
         except ValueError:
             raise InputError(f"--fields: {tok!r} is not an integer") from None
-        out.append(FieldSpec(characteristic))
+        field = FieldSpec(characteristic)
+        if field in out:
+            raise InputError(f"--fields: characteristic {characteristic} is repeated")
+        out.append(field)
     if not out:
         raise InputError("--fields given but empty")
     return out
@@ -148,8 +153,8 @@ def cmd_analyze(args) -> int:
         raise InputError(
             f"analyze is bounded at {ANALYZE_SIZE_BOUND} hyperplanes, got {arr.n}"
         )
-    cls = classify(arr)
-    doc, qualified = build_report(arr, cls, _parse_fields(args.fields))
+    fields = _parse_fields(args.fields)
+    doc, qualified = build_report(arr, classify(arr), fields)
     if args.json:
         try:
             emit_report(doc, args.json)
@@ -194,22 +199,10 @@ def _instance_line(key: str, arr: Arrangement, echo: dict) -> dict:
     qualified = cls.hypersolvable and not cls.supersolvable
     line["qualifies"] = qualified
     if qualified:
-        gr1 = gr1_invariants(arr)
-        tors, book = torsion_and_rank_report(arr)
-        line["gr0_rank"] = book["gr0_rank"]
-        line["gr1_rank"] = gr1.free_rank
-        line["gr1_invariant_factors"] = list(gr1.torsion_factors)
-        line["torsion_equivalences"] = {
-            "gr1_torsion_free": tors.gr1_torsion_free,
-            "a_plus_free_p2": tors.a_plus_free_p2,
-            "ind_free_p2": tors.ind_free_p2,
-        }
-        line["rank_formula"] = {k: v for k, v in book.items() if k != "p"}
-        if gr1.torsion_factors:
-            line["torsion_found"] = True
+        line.update(homotopy_fields(arr))
+        line["torsion_found"] = bool(line["gr1_invariant_factors"])
+        if line["torsion_found"]:
             line["mu_matrix"] = mu_presentation(arr).matrix
-        else:
-            line["torsion_found"] = False
     return line
 
 
@@ -337,8 +330,15 @@ def cmd_search(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are bad input: InputError, exit 1, no usage dump."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="hyparr",
         description="Exact combinatorial invariants of central hyperplane arrangements",
     )
@@ -371,8 +371,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    command = None
     try:
+        args = _build_parser().parse_args(argv)
+        command = args.command
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -384,7 +386,7 @@ def main(argv=None) -> int:
         print(f"INTERNAL INVARIANT VIOLATION: {exc}", file=sys.stderr)
         return 3
     except MemoryError:
-        print(f"error: out of memory during {args.command}", file=sys.stderr)
+        print(f"error: out of memory during {command}", file=sys.stderr)
         return 1
 
 

@@ -16,6 +16,10 @@ p, the objects computed here are:
   invariant, so its invariants are read straight off the mu matrix:
   free rank = rows - #divisors, torsion = divisors > 1.
 
+The mu presentation and its Smith divisors are ``arrangement.memo``
+functions, built once per arrangement, and every entry point checks the
+arrangement through the memoized ``classify``.
+
 The torsion report recomputes the same yes/no question three independent
 ways (mu divisors, the decomposable quotient in degree p+2, the
 indecomposable relations in degree p+2) and insists they agree, and checks
@@ -30,11 +34,11 @@ from bisect import bisect
 from dataclasses import dataclass
 from math import comb
 
-from .arrangement import Arrangement
+from .arrangement import Arrangement, memo
 from .errors import InternalInvariantViolation, PreconditionError
 from .exterior import basis, basis_index
 from .hypersolvable import Classification, classify
-from .intlinalg import AbelianInvariants, RATIONALS, snf_divisors
+from .intlinalg import AbelianInvariants, RATIONALS, densify, snf_divisors
 from .osalgebra import (
     IdealKind,
     hilbert,
@@ -60,13 +64,7 @@ class MuPresentation:
     @property
     def matrix(self) -> list[list[int]]:
         """The dense len(row_basis) x len(col_basis) matrix, built on access."""
-        dense = []
-        for row in self.rows:
-            line = [0] * len(self.col_basis)
-            for k, v in row.items():
-                line[k] = v
-            dense.append(line)
-        return dense
+        return densify(self.rows, len(self.col_basis))
 
 
 @dataclass
@@ -88,9 +86,7 @@ class TorsionReport:
 
 def require_qualifying(a: Arrangement) -> Classification:
     """Hypersolvable and not supersolvable, else a PreconditionError."""
-    cls = a.cache.get("classification")
-    if cls is None:
-        cls = classify(a)
+    cls = classify(a)
     if not cls.hypersolvable:
         raise PreconditionError(
             "arrangement is not hypersolvable; the homotopy pipeline does not apply"
@@ -118,6 +114,7 @@ def gr0_rank(a: Arrangement) -> int:
     return gap
 
 
+@memo
 def mu_presentation(a: Arrangement) -> MuPresentation:
     """The multiplication map in bases read off the echelon ideal bases.
 
@@ -134,9 +131,6 @@ def mu_presentation(a: Arrangement) -> MuPresentation:
     or a QUADRATIC^{p+1} pivot that FULL^{p+1} lacks, raises
     InternalInvariantViolation (exit 3).
     """
-    hit = a.cache.get("mu_presentation")
-    if hit is not None:
-        return hit
     cls = require_qualifying(a)
     p = cls.p
     n = a.n
@@ -187,27 +181,17 @@ def mu_presentation(a: Arrangement) -> MuPresentation:
 
     mons2 = basis(n, d2)
     col_basis = [str(mons2[j]) for j in nonpivot]
-    pres = MuPresentation(p, g0, row_basis, col_basis, rows)
-    a.cache["mu_presentation"] = pres
-    return pres
+    return MuPresentation(p, g0, row_basis, col_basis, rows)
 
 
+@memo
 def _mu_divisors(a: Arrangement) -> list[int]:
-    hit = a.cache.get("mu_divisors")
-    if hit is None:
-        hit = snf_divisors(mu_presentation(a).rows)
-        a.cache["mu_divisors"] = hit
-    return hit
+    return snf_divisors(mu_presentation(a).rows)
 
 
 def gr1_invariants(a: Arrangement) -> AbelianInvariants:
     """Invariants of gr1 = coker(dual of mu), read off the mu matrix."""
-    pres = mu_presentation(a)
-    divs = _mu_divisors(a)
-    return AbelianInvariants(
-        free_rank=len(pres.rows) - len(divs),
-        torsion_factors=tuple(d for d in divs if d > 1),
-    )
+    return AbelianInvariants.from_divisors(len(mu_presentation(a).rows), _mu_divisors(a))
 
 
 def second_nilpotent_quotient(a: Arrangement) -> NilpotentQuotient2:

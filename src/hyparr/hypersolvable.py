@@ -17,7 +17,10 @@ hyperplanes are int masks too, and each condition has one implementation
 (``_unclosed``, ``_f``, ``_solvable``) shared by ``solvable_extension_check``
 and the search.  The search for a series backtracks over candidate
 extension sets, smallest first, and memoizes dead states; absence of a
-series is therefore exhaustive.
+series is therefore exhaustive.  ``composition_series`` and ``classify``
+are ``arrangement.memo`` functions: each runs once per arrangement, and a
+None series is stored too, so the search-worker filter, ``classify`` and
+``is_supersolvable`` share one search.
 
 The exponent product identity prod(1 + d_i t) = Hilbert(Lambda / I_2) over
 the rationals is enforced for every series found, which guards conditions
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Optional, Sequence
 
-from .arrangement import Arrangement, _indices, _mask
+from .arrangement import Arrangement, _indices, _mask, memo
 from .errors import InputError, InternalInvariantViolation
 from .intlinalg import RATIONALS
 from .osalgebra import IdealKind, hilbert, ideal_lattice
@@ -160,6 +163,7 @@ def _grow(
             _grow(line, f, out, dset + (d,), [e for e in allowed[k + 1 :] if (d, e) in f])
 
 
+@memo
 def composition_series(a: Arrangement) -> Optional[CompositionSeries]:
     """A hypersolvable composition series, or None when none exists.
 
@@ -167,34 +171,21 @@ def composition_series(a: Arrangement) -> Optional[CompositionSeries]:
     order, and memoizes dead states, so the first series found is canonical
     and a None answer is an exhaustive proof of absence.
     """
-    hit = a.cache.get("composition_series", "missing")
-    if hit != "missing":
-        return hit
     n = a.n
-    result: Optional[CompositionSeries] = None
     if n == 0:
-        result = CompositionSeries([], [])
-    elif n == 1:
-        result = CompositionSeries([(0,)], [1])
-    else:
-        line = a.pair_closures()
-        full = (1 << n) - 1
-        dead: set[int] = set()
-        for start in range(n):
-            masks = _extend(line, full, dead, 1 << start, [1 << start])
-            if masks is not None:
-                chain = [_indices(m) for m in masks]
-                exps = [1] + [
-                    len(chain[k + 1]) - len(chain[k]) for k in range(len(chain) - 1)
-                ]
-                result = CompositionSeries(chain, exps)
-                break
-    if result is not None and sum(result.exponents) != n:
-        raise InternalInvariantViolation(
-            f"exponents {result.exponents} do not sum to {n}"
-        )
-    a.cache["composition_series"] = result
-    return result
+        return CompositionSeries([], [])
+    line = a.pair_closures()
+    full = (1 << n) - 1
+    dead: set[int] = set()
+    for start in range(n):
+        masks = _extend(line, full, dead, 1 << start, [1 << start])
+        if masks is not None:
+            chain = [_indices(m) for m in masks]
+            exps = [1] + [len(chain[k + 1]) - len(chain[k]) for k in range(len(chain) - 1)]
+            if sum(exps) != n:
+                raise InternalInvariantViolation(f"exponents {exps} do not sum to {n}")
+            return CompositionSeries(chain, exps)
+    return None
 
 
 def _extend(
@@ -267,14 +258,12 @@ def is_supersolvable(a: Arrangement) -> bool:
     return hilbert_eq
 
 
+@memo
 def classify(a: Arrangement) -> Classification:
     """Full classification with every cross-check the type invariants demand.
 
     Computed once per arrangement; repeat calls return the stored result.
     """
-    hit = a.cache.get("classification")
-    if hit is not None:
-        return hit
     series = composition_series(a)
     hypersolvable = series is not None
     supersolvable = is_supersolvable(a)
@@ -302,7 +291,7 @@ def classify(a: Arrangement) -> Classification:
             raise InternalInvariantViolation(
                 f"hypersolvable non-supersolvable needs 2 <= p < r, got p={p}, r={r}"
             )
-    cls = Classification(
+    return Classification(
         hypersolvable=hypersolvable,
         supersolvable=supersolvable,
         series=series,
@@ -312,5 +301,3 @@ def classify(a: Arrangement) -> Classification:
         two_generic=two_generic,
         p_raw=not hypersolvable,
     )
-    a.cache["classification"] = cls
-    return cls

@@ -34,6 +34,17 @@ from .errors import InputError, InternalInvariantViolation
 Row = dict[int, int]
 
 
+def densify(rows: Iterable[Row], ncols: int) -> list[list[int]]:
+    """The sparse rows as dense rows of width ncols."""
+    out = []
+    for row in rows:
+        line = [0] * ncols
+        for c, v in row.items():
+            line[c] = v
+        out.append(line)
+    return out
+
+
 def _as_row(row: Row | Sequence[int]) -> Row:
     """A fresh sparse copy of a dict or dense row, with zeros dropped."""
     items = row.items() if isinstance(row, dict) else enumerate(row)
@@ -170,6 +181,11 @@ class AbelianInvariants:
                 raise InternalInvariantViolation(
                     f"invariant factors not chained: {self.torsion_factors}"
                 )
+
+    @classmethod
+    def from_divisors(cls, ambient_rank: int, divisors: Sequence[int]) -> AbelianInvariants:
+        """Z^ambient_rank modulo a lattice with these Smith divisors."""
+        return cls(ambient_rank - len(divisors), tuple(d for d in divisors if d > 1))
 
     @property
     def is_free(self) -> bool:
@@ -513,15 +529,6 @@ class SparseHermite:
     def rows_sorted(self) -> list[Row]:
         return [self.pivots[j] for j in sorted(self.pivots)]
 
-    def dense_rows(self, ncols: int) -> list[list[int]]:
-        out = []
-        for r in self.rows_sorted():
-            line = [0] * ncols
-            for c, v in r.items():
-                line[c] = v
-            out.append(line)
-        return out
-
     def divisors(self) -> list[int]:
         """Invariant factors of the lattice (all 1 iff the quotient is free)."""
         if self.all_unit_pivots():
@@ -582,7 +589,7 @@ def hermite_basis(mat: Sequence[Sequence[int]]) -> list[list[int]]:
     for row in mat:
         h.insert(row)
     h.canonicalize()
-    return h.dense_rows(nc)
+    return densify(h.rows_sorted(), nc)
 
 
 def rank_over_field(mat: Sequence[Sequence[int]], field: FieldSpec) -> int:
@@ -617,8 +624,4 @@ def quotient_invariants(
             raise InputError(
                 f"generator {i} has {len(row)} columns, expected {ambient_rank}"
             )
-    divs = snf_divisors(gens)
-    return AbelianInvariants(
-        free_rank=ambient_rank - len(divs),
-        torsion_factors=tuple(d for d in divs if d > 1),
-    )
+    return AbelianInvariants.from_divisors(ambient_rank, snf_divisors(gens))

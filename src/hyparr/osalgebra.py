@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from enum import Enum
 from math import comb
 
-from .arrangement import Arrangement, _mask
+from .arrangement import Arrangement, _mask, memo
 from .errors import InputError, InternalInvariantViolation
 from .exterior import ExteriorElement, basis, basis_index, delta, monomial
 from .intlinalg import (
@@ -50,6 +50,7 @@ from .intlinalg import (
     FieldSpec,
     SparseHermite,
     _row_submul,
+    densify,
     prime_factors,
     quotient_invariants,
 )
@@ -382,25 +383,23 @@ def _free_sets(third: list[list[int]], n: int, q: int) -> list[tuple[int, int, i
     return out
 
 
+@memo
 def _three_circuit_tables(a: Arrangement) -> tuple[list[list[int]], list[list[int]]]:
     """``(third, pairs)`` for the 3-circuits, built once per arrangement.
 
     third[x][y] is the mask of the z with {x, y, z} a 3-circuit, and
     pairs[u] lists the masks of the {x, y} with {u, x, y} a 3-circuit.
     """
-    hit = a.cache.get("three_circuit_tables")
-    if hit is None:
-        n = a.n
-        third = [[0] * n for _ in range(n)]
-        pairs: list[list[int]] = [[] for _ in range(n)]
-        for c in a.circuits(min(3, n)):
-            for x, y, z in itertools.permutations(c):
-                third[x][y] |= 1 << z
-            cm = _mask(c)
-            for u in c:
-                pairs[u].append(cm ^ 1 << u)
-        hit = a.cache["three_circuit_tables"] = (third, pairs)
-    return hit
+    n = a.n
+    third = [[0] * n for _ in range(n)]
+    pairs: list[list[int]] = [[] for _ in range(n)]
+    for c in a.circuits(min(3, n)):
+        for x, y, z in itertools.permutations(c):
+            third[x][y] |= 1 << z
+        cm = _mask(c)
+        for u in c:
+            pairs[u].append(cm ^ 1 << u)
+    return third, pairs
 
 
 def _quadratic_basis(a: Arrangement, q: int) -> SparseHermite:
@@ -545,13 +544,10 @@ def _pos_sign(mask: int, bit: int) -> int:
     return -1 if (mask & (bit - 1)).bit_count() % 2 else 1
 
 
+@memo
 def ideal_lattice(a: Arrangement, kind: IdealKind, q: int) -> IdealLattice:
-    """Cached echelon basis of the degree-q piece of the chosen ideal."""
+    """Echelon basis of the degree-q piece of the chosen ideal, built once."""
     _check_degree(a, q)
-    key = ("ideal", kind, q)
-    hit = a.cache.get(key)
-    if hit is not None:
-        return hit
     ncols = comb(a.n, q)
     if kind is not IdealKind.QUADRATIC and 0 < a.rank() < q:
         # every q-subset is dependent, so the monomials already fill Z^ncols
@@ -562,22 +558,13 @@ def ideal_lattice(a: Arrangement, kind: IdealKind, q: int) -> IdealLattice:
         h = _decomposable_basis(a, q, ideal_lattice(a, IdealKind.FULL, q).hnf)
     else:
         h = _quadratic_basis(a, q)
-    lat = IdealLattice(kind, q, ncols, h)
-    a.cache[key] = lat
-    return lat
+    return IdealLattice(kind, q, ncols, h)
 
 
 def ideal_generators(a: Arrangement, kind: IdealKind, q: int) -> GradedIdealPresentation:
     """Dense matrix of the spanning family in basis(n, q) coordinates."""
     _check_degree(a, q)
-    ncols = comb(a.n, q)
-    rows = []
-    for row in _generator_stream(a, kind, q):
-        line = [0] * ncols
-        for c, v in row.items():
-            line[c] = v
-        rows.append(line)
-    return GradedIdealPresentation(kind, q, rows)
+    return GradedIdealPresentation(kind, q, densify(_generator_stream(a, kind, q), comb(a.n, q)))
 
 
 def hilbert(a: Arrangement, quotient: str, field: FieldSpec) -> HilbertData:
@@ -632,11 +619,7 @@ def quotient_invariants_graded(a: Arrangement, quotient: str, q: int) -> Abelian
             rows.append({pos[p]: v for p, v in coords.items()})
         return quotient_invariants(full.rank, rows)
     lat = ideal_lattice(a, _KIND_OF_QUOTIENT[quotient], q)
-    divs = lat.divisors()
-    return AbelianInvariants(
-        free_rank=lat.ncols - len(divs),
-        torsion_factors=tuple(d for d in divs if d > 1),
-    )
+    return AbelianInvariants.from_divisors(lat.ncols, lat.divisors())
 
 
 def discovered_torsion_primes(a: Arrangement) -> list[int]:

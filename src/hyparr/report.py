@@ -141,22 +141,34 @@ def build_report(arr: Arrangement, cls: Classification, fields=None) -> tuple[di
     qualified = cls.hypersolvable and not cls.supersolvable
     if qualified:
         pres = mu_presentation(arr)
-        gr1 = gr1_invariants(arr)
-        tors, book = torsion_and_rank_report(arr)
         doc["homotopy"] = {
             "p": pres.p,
-            "gr0_rank": pres.gr0_rank,
-            "gr1_rank": gr1.free_rank,
-            "gr1_invariant_factors": list(gr1.torsion_factors),
             "mu_shape": [len(pres.rows), len(pres.col_basis)],
-            "torsion_equivalences": {
-                "gr1_torsion_free": tors.gr1_torsion_free,
-                "a_plus_free_p2": tors.a_plus_free_p2,
-                "ind_free_p2": tors.ind_free_p2,
-            },
-            "rank_formula": {k: v for k, v in book.items() if k != "p"},
+            **homotopy_fields(arr),
         }
     return doc, qualified
+
+
+def homotopy_fields(arr: Arrangement) -> dict:
+    """The gr^1 fields of a qualifying arrangement.
+
+    The analyze report and the search lines both carry them: the ranks, the
+    invariant factors, the three-way torsion equivalence and the closed rank
+    formula.
+    """
+    gr1 = gr1_invariants(arr)
+    tors, book = torsion_and_rank_report(arr)
+    return {
+        "gr0_rank": book["gr0_rank"],
+        "gr1_rank": gr1.free_rank,
+        "gr1_invariant_factors": list(gr1.torsion_factors),
+        "torsion_equivalences": {
+            "gr1_torsion_free": tors.gr1_torsion_free,
+            "a_plus_free_p2": tors.a_plus_free_p2,
+            "ind_free_p2": tors.ind_free_p2,
+        },
+        "rank_formula": {k: v for k, v in book.items() if k != "p"},
+    }
 
 
 def render_text(doc: dict) -> str:

@@ -167,12 +167,33 @@ def test_analyze_fields_flag(tmp_path):
 
 
 def test_analyze_bad_fields(capsys):
-    for fields in ("0,6", "0,x"):
+    for fields in ("0,6", "0,x", "0,0"):
         code = main(["analyze", "--input", str(FIXTURES / "twogen6.arr"),
                      "--fields", fields])
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err, err
+    main(["analyze", "--input", str(FIXTURES / "twogen6.arr"), "--fields", "0,3,2,3"])
+    assert "characteristic 3 is repeated" in capsys.readouterr().err
+
+
+def test_usage_errors_exit1(capsys, tmp_path):
+    # exit 2 means "analysis done, homotopy skipped"; a malformed command
+    # line is bad input
+    out = tmp_path / "x.jsonl"
+    for argv in (
+        ["analyze"],
+        ["search", "--family", "graphic", "--max-size", "x", "--output", str(out)],
+        ["frobnicate"],
+    ):
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err, err
+        assert err.count("\n") == 1, err
+    assert not out.exists()
+    with pytest.raises(SystemExit) as done:
+        main(["analyze", "--help"])
+    assert done.value.code == 0
 
 
 # ---------------------------------------------------------------- circuits
@@ -486,11 +507,12 @@ def test_torsion_found_line_dumps_matrix(monkeypatch):
     # no known input produces torsion, so exercise the reporting path by
     # stubbing the gr1 computation
     import hyparr.cli as cli
+    import hyparr.report as report
     from hyparr.intlinalg import AbelianInvariants
 
     arr = parse_input(str(FIXTURES / "theta6.graph"))
     monkeypatch.setattr(
-        cli, "gr1_invariants", lambda a: AbelianInvariants(5, (2, 4))
+        report, "gr1_invariants", lambda a: AbelianInvariants(5, (2, 4))
     )
     line = cli._instance_line("test-key", arr, {"vertices": 6})
     assert line["torsion_found"] is True

@@ -21,8 +21,9 @@ from hyparr.hypersolvable import (
     p_order,
     solvable_extension_check,
 )
+from hyparr.homotopy import mu_presentation
 from hyparr.intlinalg import RATIONALS
-from hyparr.osalgebra import hilbert
+from hyparr.osalgebra import IdealKind, hilbert, ideal_lattice
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -199,7 +200,8 @@ def test_series_frozen_and_solvable_stepwise():
 
 def test_series_single_hyperplane():
     series = composition_series(build(2, [(1, 0)]))
-    assert series is not None and series.exponents == [1]
+    assert series is not None
+    assert (series.chain, series.exponents) == ([(0,)], [1])
 
 
 # ----------------------------------------------------- supersolvable
@@ -324,3 +326,44 @@ def test_classify_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------- memo rule
+
+
+def test_memo_stores_nothing_for_a_raising_call():
+    arr = from_graph(K3)
+    for _ in range(2):
+        with pytest.raises(InputError):
+            ideal_lattice(arr, IdealKind.FULL, 4)
+    assert arr.cache == {}
+
+
+def test_memo_stores_a_none_series(monkeypatch):
+    import hyparr.hypersolvable as hypersolvable
+
+    calls = []
+    real = hypersolvable._extend
+
+    def counted(*args):
+        calls.append(args[3])
+        return real(*args)
+
+    monkeypatch.setattr(hypersolvable, "_extend", counted)
+    arr = d4()
+    assert composition_series(arr) is None
+    searched = len(calls)
+    assert searched > 0
+    assert composition_series(arr) is None
+    assert not classify(arr).hypersolvable
+    assert len(calls) == searched
+
+
+def test_memo_repeat_call_returns_the_same_object():
+    arr = from_graph(THETA)
+    assert classify(arr) is classify(arr)
+    assert composition_series(arr) is composition_series(arr)
+    full2 = ideal_lattice(arr, IdealKind.FULL, 2)
+    assert ideal_lattice(arr, IdealKind.FULL, 2) is full2
+    assert ideal_lattice(arr, IdealKind.QUADRATIC, 2) is not full2
+    assert mu_presentation(arr) is mu_presentation(arr)
