@@ -6,11 +6,13 @@ truth for ranks, circuits, flats and everything built on top.
 
 The matroid data comes from one exact step, ``_reduce``: an integer vector
 reduced by one more echelon row, fraction-free, kept primitive and
-sign-normalized.  The residuals of the hyperplanes outside a flat group
-them into its covers; the residuals of the hyperplanes after an
-independent set say which of them extend it, and the residuals modulo
-each atom group the others into the lines through it.  Graphic
-arrangements remember their source graph for reporting.
+sign-normalized.  The residuals of the hyperplanes after an independent
+set say which of them extend it; that fills a table of the independent
+sets by size.  The residuals modulo each atom group the others into the
+lines through it.  The intersection lattice is read off the table: the
+cover of a flat spanned by the independent set B through a hyperplane h
+is B + h and every x with B + h + x dependent.  Graphic arrangements
+remember their source graph for reporting.
 """
 
 from __future__ import annotations
@@ -259,12 +261,19 @@ class Arrangement:
         return self._lattice
 
     def betti_mobius(self) -> list[int]:
-        """Whitney numbers b_0..b_r: sums of |mu| over flats of each rank."""
+        """Whitney numbers b_0..b_r: sums of |mu| over flats of each rank.
+
+        Summed once per arrangement; each call returns a fresh list.
+        """
+        return list(self._betti)
+
+    @cached_property
+    def _betti(self) -> tuple[int, ...]:
         lat = self.intersection_lattice()
         out = [0] * (self.rank() + 1)
         for flat in lat.flats:
             out[lat.rank_of[flat]] += abs(lat.mobius[flat])
-        return out
+        return tuple(out)
 
 
 def _primitive(v: Sequence[int]) -> Vector | None:
@@ -352,13 +361,16 @@ class IntersectionLattice:
     """All flats of the arrangement with ranks, Mobius values and joins.
 
     Flats are frozensets of hyperplane indices; the order relation is
-    containment.  Built level by level from residuals: each flat F carries
-    the residual modulo span(F) of every hyperplane outside F, and the
-    hyperplanes with equal residuals are exactly one cover G - F.  A new
-    cover's residuals are one ``_reduce`` step of F's, so no rank is
-    computed.  The lower covers are kept as tuples of flat indices, and
-    ``mobius`` is Weisner's recursion over them: for a fixed atom a <= X,
-    mu(X) = -sum mu(Y) over the covers Y of X that miss a.
+    containment.  Built level by level from the independent-set table, so
+    no rank or residual is computed.  Each flat F of rank k - 1 keeps a
+    basis B: the set B' + h of the first cover relation F' < F that
+    reached it.  For a hyperplane h outside F and its covers so far, the
+    cover is G = B + h plus every x with B + h + x not in the table of
+    independent (k + 1)-sets (Oxley, "Matroid Theory", 1.4); at the top
+    rank it is every hyperplane.  The lower covers are kept as tuples of
+    flat indices, and ``mobius`` is Weisner's recursion over them: for a
+    fixed atom a <= X, mu(X) = -sum mu(Y) over the covers Y of X that
+    miss a.
 
     Supersolvability (a maximal chain of modular flats) is decided by the
     modular-coatom criterion instead of by the definition: a coatom Y of a
@@ -383,44 +395,43 @@ class IntersectionLattice:
         self.rank_of: dict[frozenset[int], int] = {frozenset(): 0}
         self._masks = [0]
         self._lower: list[tuple[int, ...]] = [()]
-        coatom = arr.rank() - 1
-        # residuals of the rank-r flats, which start at index first
-        level: list[list[Vector | None]] = [list(arr._atoms)]
-        first = r = 0
-        while True:
-            covers: dict[int, tuple[list, list[int]]] = {}
-            for i, res in enumerate(level, first):
-                groups: dict[Vector, int] = {}
-                for h, v in enumerate(res):
-                    if v is not None:
-                        groups[v] = groups.get(v, self._masks[i]) | 1 << h
-                for v, g in groups.items():
-                    hit = covers.get(g)
-                    if hit is not None:
-                        hit[1].append(i)
-                    elif r + 1 < coatom:
-                        k = _pivot(v)
-                        covers[g] = (
-                            [None if g >> h & 1 else _reduce(x, v, k) for h, x in enumerate(res)],
-                            [i],
-                        )
+        rank = arr.rank()
+        full = (1 << arr.n) - 1
+        # (index, mask, basis mask) of each rank-(k - 1) flat
+        level = [(0, 0, 0)]
+        for k in range(1, rank + 1):
+            above = arr.independent_sets(k + 1) if k < rank else None
+            covers: dict[int, tuple[int, list[int]]] = {}
+            for i, m, basis in level:
+                left = full & ~m  # hyperplanes not yet in a cover of F
+                while left:
+                    h = left & -left
+                    b = basis | h
+                    if above is None:
+                        g = full
                     else:
-                        # a coatom and any hyperplane outside it span the
-                        # top, so one shared residual groups them all
-                        covers[g] = ([None if g >> h & 1 else () for h in range(len(res))], [i])
-            if not covers:
-                break
-            r += 1
-            first = len(self.flats)
+                        g = m | h
+                        rest = left ^ h
+                        while rest:
+                            x = rest & -rest
+                            if b | x not in above:
+                                g |= x
+                            rest ^= x
+                    left &= ~g
+                    hit = covers.get(g)
+                    if hit is None:
+                        covers[g] = (b, [i])
+                    else:
+                        hit[1].append(i)
             level = []
             for indices, g in sorted((_indices(g), g) for g in covers):
-                res, lower = covers[g]
+                b, lower = covers[g]
                 flat = frozenset(indices)
+                level.append((len(self.flats), g, b))
                 self.flats.append(flat)
-                self.rank_of[flat] = r
+                self.rank_of[flat] = k
                 self._masks.append(g)
                 self._lower.append(tuple(lower))
-                level.append(res)
         self._join_cache: dict[tuple[frozenset, frozenset], frozenset] = {}
 
     def _rank(self, s: frozenset[int]) -> int:

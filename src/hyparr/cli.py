@@ -16,7 +16,7 @@ import time
 from pathlib import Path
 from random import Random
 
-from .arrangement import Arrangement, build, from_graph
+from .arrangement import Arrangement, _proportional, build, from_graph
 from .errors import InputError, InternalInvariantViolation, PreconditionError
 from .graphs import Graph, _keyed_connected_graph_reps, make_graph
 from .homotopy import mu_presentation
@@ -247,21 +247,18 @@ def _random_2generic_instances(seed: int, max_size: int, count: int):
         for _ in range(n):
             for _attempt in range(50):
                 v = tuple(rng.randint(-3, 3) for _ in range(dim))
-                if not any(v):
-                    continue
-                try:
-                    build(dim, normals + [v])
-                except InputError:
-                    continue
-                normals.append(v)
-                break
+                if any(v) and not any(_proportional(u, v) for u in normals):
+                    normals.append(v)
+                    break
             else:
                 ok = False
                 break
         if not ok:
             continue
         arr = build(dim, normals)
-        if arr.rank() == arr.n or arr.circuits(3):  # independent, or c = 3
+        if arr.rank() == arr.n or any(
+            m.bit_count() > 2 for row in arr.pair_closures() for m in row
+        ):  # independent, or c = 3: a rank-2 closure holds three hyperplanes
             continue
         yield (f"r2g-s{seed}-i{idx}", dim, tuple(normals))
         idx += 1

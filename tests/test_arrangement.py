@@ -477,9 +477,16 @@ def test_mobius_is_lazy_and_keeps_identities():
     # chromatic polynomial k(k-1)(k-2)(k-3) of K4; B3 has exponents 1, 3, 5
     assert from_graph(K4).betti_mobius() == [1, 6, 11, 6]
     assert coxeter_b(3).betti_mobius() == [1, 9, 23, 15]
+    k4 = from_graph(K4)
+    k4.betti_mobius()[0] = 99  # each call returns a fresh list
+    assert k4.betti_mobius() == [1, 6, 11, 6]
 
 
-# ----------------------------- residual routes vs the definitions they replace
+# ------------- table lookups and residual steps vs the definitions they replace
+#
+# The independent-set table, the circuits and pair_closures come from
+# ``_reduce`` residual steps; the flats, their lower covers and Mobius are
+# read off that table.  Each is checked against ranks by fresh elimination.
 
 
 def chordless_by_split_scan(arr, size):
@@ -526,10 +533,16 @@ def small_entries(gen, dim, draws):
 
 
 def differential_inputs():
-    """The 6-vertex corpus, fixtures, B3, B4, 40 seeded {-1,0,1} inputs and
-    10 random 2-generic instances, each also with its hyperplanes shuffled."""
+    """The 6-vertex corpus, fixtures, B3, B4, 40 seeded {-1,0,1} inputs,
+    10 random 2-generic instances and 4 edge cases (no hyperplane, one, a
+    non-essential input of rank 2 in dimension 4, and the boolean
+    arrangement of rank n = 5), each also with its hyperplanes shuffled."""
 
     def base():
+        yield build(3, [])
+        yield build(3, [(2, -1, 0)])
+        yield build(4, [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (1, -1, 0, 0), (2, 1, 0, 0)])
+        yield boolean(5)
         yield from (from_graph(g) for g in connected_graph_reps(6))
         yield from (parse_input(str(p)) for p in sorted(FIXTURES.iterdir()))
         yield coxeter_b(3)
@@ -592,6 +605,12 @@ def test_residual_routes_match_definitions():
         assert lat.rank_of == dict(expect)
         assert lat.mobius == mobius_by_definition(lat)
         assert list(lat.mobius) == lat.flats
+        by_rank = {}
+        for j, g in enumerate(lat.flats):
+            by_rank.setdefault(lat.rank_of[g], []).append(j)
+        for i, flat in enumerate(lat.flats):
+            below = by_rank.get(lat.rank_of[flat] - 1, [])
+            assert lat._lower[i] == tuple(j for j in below if lat.flats[j] <= flat)
 
         dependent = subset_scan(arr)
         circuits = [
@@ -607,8 +626,34 @@ def test_residual_routes_match_definitions():
             cl = {a, b} | {h for h in range(arr.n) if dependent.get(tuple(sorted({a, b, h})), False)}
             assert line[a][b] == line[b][a] == sum(1 << h for h in cl)
         assert all(line[a][a] == 1 << a for a in range(arr.n))
+        # lat was built on an empty table; one built after circuits() agrees
+        after = build(arr.ambient_dim, arr.normals)
+        after.circuits()
+        again = after.intersection_lattice()
+        assert (again.flats, again._lower, again._masks) == (lat.flats, lat._lower, lat._masks)
         seen += 1
-    assert seen == 2 * (143 + 7 + 2 + 40 + 10)
+    assert seen == 2 * (4 + 143 + 7 + 2 + 40 + 10)
+
+
+def test_lattice_computes_no_residual(monkeypatch):
+    import hyparr.arrangement as arrangement
+
+    calls = []
+    reduce = arrangement._reduce
+
+    def counted(*args):
+        calls.append(args)
+        return reduce(*args)
+
+    arr = coxeter_b(4)
+    arr.circuits()
+    arr.pair_closures()  # the collinearity table is the other residual user
+    assert arr._lattice is None
+    monkeypatch.setattr(arrangement, "_reduce", counted)
+    arr.intersection_lattice()
+    assert calls == []
+    coxeter_b(4).intersection_lattice()  # a fresh table grows by residual steps
+    assert calls
 
 
 def test_single_dependence_query_does_not_grow_the_table():

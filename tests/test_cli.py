@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from hyparr.arrangement import build, from_graph
-from hyparr.cli import main, parse_input
+from hyparr.cli import _random_2generic_instances, main, parse_input
 from hyparr.errors import InputError
 from hyparr.graphs import make_graph
 from hyparr.report import canonical_json_bytes, canonical_json_line
@@ -280,6 +280,21 @@ def test_search_seeded_determinism(tmp_path):
         assert doc["qualifies"] is True
         # dependent 2-generic arrangements sit at p = c - 2
         assert cls["p"] == cls["c"] - 2
+
+
+@pytest.mark.parametrize(
+    "seed, digest",
+    [
+        (0, "b98cc4bc0635fbb69cc28fa529d791cbec7fa25fcad5bbf11378b2dca9893f31"),
+        (1, "5e3d608f6307f7a158c0c71ec3b2acefb8bc41196cc570c40ef8fb81cf98d618"),
+        (11, "ed835b0ddab0ac2e5d9ff0573cc5f6f4c9e92a53ee264b0878d6345eb991ad77"),
+    ],
+)
+def test_random2g_stream_is_frozen(seed, digest):
+    # recorded when every candidate normal was checked by building an
+    # Arrangement and c = 3 was read off circuits(3)
+    stream = list(_random_2generic_instances(seed, 12, 50))
+    assert hashlib.sha256(repr(stream).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("max_size", [4, 5, 6])
