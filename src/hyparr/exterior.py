@@ -4,15 +4,15 @@ Elements live in a fixed degree and are stored as a map from strictly
 increasing index tuples to nonzero integer coefficients.  The canonical
 monomial e_C is the one with ascending indices; any other presentation of
 the same index set carries the sign of the sorting permutation.  All
-coordinate matrices elsewhere in the package are written in the basis
-returned by :func:`basis`, whose lexicographic order is a package-wide
-contract.
+coordinate matrices elsewhere in the package are written in the
+lexicographic order of the q-sets, a package-wide contract kept by
+:func:`basis`, :func:`column` and ``osalgebra._columns``.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from math import comb
 
 from .errors import InputError
 
@@ -75,15 +75,15 @@ class ExteriorElement:
 
     def coordinates(self, n: int) -> list[int]:
         """Dense coordinate vector in the basis(n, degree) order."""
-        idx = basis_index(n, self.degree)
-        out = [0] * len(idx)
-        for tup, c in self.terms.items():
-            out[idx[tup]] = c
+        sparse = self.sparse_coordinates(n)
+        out = [0] * comb(n, self.degree)
+        for k, c in sparse.items():
+            out[k] = c
         return out
 
     def sparse_coordinates(self, n: int) -> dict[int, int]:
-        idx = basis_index(n, self.degree)
-        return {idx[tup]: c for tup, c in self.terms.items()}
+        _check_degree(n, self.degree)
+        return {column(tup, n): c for tup, c in self.terms.items()}
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -175,17 +175,28 @@ def delta(u: ExteriorElement) -> ExteriorElement:
     return ExteriorElement(u.degree - 1, out)
 
 
-@lru_cache(maxsize=None)
+def _check_degree(n: int, q: int) -> None:
+    if q < 0 or q > n:
+        raise InputError(f"degree {q} out of range for {n} generators")
+
+
 def basis(n: int, q: int) -> tuple[tuple[int, ...], ...]:
     """All C(n, q) ascending q-tuples on {0..n-1}, lexicographically ordered.
 
     This order fixes the columns of every coordinate matrix in the package.
     """
-    if q < 0 or q > n:
-        raise InputError(f"degree {q} out of range for {n} generators")
+    _check_degree(n, q)
     return tuple(itertools.combinations(range(n), q))
 
 
-@lru_cache(maxsize=None)
-def basis_index(n: int, q: int) -> dict[tuple[int, ...], int]:
-    return {tup: k for k, tup in enumerate(basis(n, q))}
+def column(t: tuple[int, ...], n: int) -> int:
+    """The position of the ascending tuple t in basis(n, len(t)).
+
+    The q-sets after t are counted by their first entry that exceeds t's:
+    C(n-1-t_j, q-j) of them differ first at position j (j from 0).  A
+    tuple longer than n has an index outside 0..n-1.
+    """
+    q = len(t)
+    if t and (t[0] < 0 or t[-1] >= n):
+        raise InputError(f"term {t} has an index outside 0..{n - 1} for {n} generators")
+    return comb(n, q) - 1 - sum(comb(n - 1 - x, q - j) for j, x in enumerate(t))

@@ -30,17 +30,16 @@ fourth, combinatorial route.
 
 from __future__ import annotations
 
-from bisect import bisect
 from dataclasses import dataclass
 from math import comb
 
-from .arrangement import Arrangement, memo
+from .arrangement import Arrangement, _indices, memo
 from .errors import InternalInvariantViolation, PreconditionError
-from .exterior import basis, basis_index
 from .hypersolvable import Classification, classify
 from .intlinalg import AbelianInvariants, RATIONALS, densify, snf_divisors
 from .osalgebra import (
     IdealKind,
+    _columns,
     hilbert,
     ideal_lattice,
     quotient_invariants_graded,
@@ -121,7 +120,8 @@ def mu_presentation(a: Arrangement) -> MuPresentation:
     Rows run over (basis element of (I/I_2)^{p+1}) x (hyperplane), columns
     over the basis of (Lambda/I_2)^{p+2}; the sign convention is the plain
     wedge product (the reported invariants do not depend on it).  Each row
-    is sparse: e_S ^ e_h = (-1)^#{s in S : s > h} e_{S+h} for h not in S.
+    is sparse: e_S ^ e_h = (-1)^#{s in S : s > h} e_{S+h} for h not in S,
+    with S and S + h read as int masks.
 
     The QUADRATIC pivots are units (Jambu-Papadima plus Bjorner-Ziegler, see
     the module docstring), so the gr0 basis is the FULL^{p+1} rows whose
@@ -163,24 +163,24 @@ def mu_presentation(a: Arrangement) -> MuPresentation:
 
     nonpivot = [j for j in range(comb(n, d2)) if j not in quad2.hnf.pivots]
     pos = {j: k for k, j in enumerate(nonpivot)}
-    mons1 = basis(n, d1)
-    index2 = basis_index(n, d2)
+    mons1 = list(_columns(a, d1))
+    col_of2 = _columns(a, d2)
     rows: list[dict[int, int]] = []
     row_basis: list[tuple[int, int]] = []
     for gidx, lam in enumerate(gr0_rows):
         terms = [(mons1[col], v) for col, v in lam.items()]
         for h in range(n):
+            bit = 1 << h
             w: dict[int, int] = {}
             for mon, v in terms:
-                below = bisect(mon, h)
-                if below and mon[below - 1] == h:
+                if mon & bit:
                     continue
-                w[index2[mon[:below] + (h,) + mon[below:]]] = -v if (d1 - below) % 2 else v
+                w[col_of2[mon | bit]] = -v if (mon >> h).bit_count() % 2 else v
             rows.append({pos[j]: v for j, v in quad2.hnf.reduce(w).items()})
             row_basis.append((gidx, h))
 
-    mons2 = basis(n, d2)
-    col_basis = [str(mons2[j]) for j in nonpivot]
+    mons2 = list(col_of2)
+    col_basis = [str(_indices(mons2[j])) for j in nonpivot]
     return MuPresentation(p, g0, row_basis, col_basis, rows)
 
 

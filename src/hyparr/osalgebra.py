@@ -28,6 +28,9 @@ as an echelon basis whose pivot is the smallest column of its row:
   no row is left with one entry, the first stripped row per leading column
   becomes its pivot, and only the rows left over are eliminated.
 
+Below the public API a q-set is an int mask; ``_columns(a, q)`` numbers
+the masks in the order of ``exterior.basis`` and dies with the arrangement.
+
 Above the rank FULL and DECOMPOSABLE fill their degree and are marked
 saturated.  Every rank, Hilbert coefficient, torsion check and membership
 test reduces to these cached per-degree bases; ``ideal_generators`` and the
@@ -44,7 +47,7 @@ from math import comb
 
 from .arrangement import Arrangement, _mask, memo
 from .errors import InputError, InternalInvariantViolation
-from .exterior import ExteriorElement, basis, basis_index, delta, monomial
+from .exterior import ExteriorElement
 from .intlinalg import (
     AbelianInvariants,
     FieldSpec,
@@ -155,6 +158,26 @@ def _check_degree(a: Arrangement, q: int) -> None:
         raise InputError(f"degree {q} out of range 0..{a.n}")
 
 
+@memo
+def _columns(a: Arrangement, q: int) -> dict[int, int]:
+    """``{mask: column}`` for the q-sets, in basis(n, q) order.
+
+    The key order is also the inverse map, from column to mask.  The table
+    lives in the arrangement's cache and dies with it.
+    """
+    return {s: col for col, s in enumerate(_subsets(a.n, 0, q))}
+
+
+def _subsets(n: int, outside: int, k: int):
+    """Masks of the k-subsets of {0..n-1} that miss ``outside``, in order.
+
+    Each is a sum of ``itertools.combinations`` of the bit values, which
+    come in the lexicographic order of the index tuples.
+    """
+    bits = [1 << i for i in range(n) if not outside >> i & 1]
+    return map(sum, itertools.combinations(bits, k))
+
+
 def _unit_rows(a: Arrangement, kind: IdealKind, q: int):
     """Monomial generators e_T of the degree-q ideal, as unit rows."""
     n = a.n
@@ -162,8 +185,7 @@ def _unit_rows(a: Arrangement, kind: IdealKind, q: int):
     if kind is IdealKind.QUADRATIC:
         three = [c for c in a.circuits(min(3, n)) if len(c) == 3]
         masks = [_mask(c) for c in three]
-        for col, T in enumerate(basis(n, q)):
-            tm = _mask(T)
+        for tm, col in _columns(a, q).items():
             if any(cm & tm == cm for cm in masks):
                 yield {col: 1}
     elif q > r:
@@ -171,28 +193,33 @@ def _unit_rows(a: Arrangement, kind: IdealKind, q: int):
             yield {col: 1}
     else:
         independent = a.independent_sets(q)
-        for col, T in enumerate(basis(n, q)):
-            if _mask(T) not in independent:
+        for tm, col in _columns(a, q).items():
+            if tm not in independent:
                 yield {col: 1}
 
 
-def _spread_row(s: tuple[int, ...], circ: tuple[int, ...], col_of) -> dict[int, int]:
-    """Coordinates of e_S ^ delta(e_C) for S disjoint from C.
+def _spread_row(s: int, circ: int, col_of: dict[int, int]) -> dict[int, int]:
+    """Coordinates of e_S ^ delta(e_C) for S disjoint from C, both masks.
 
-    The term at facet C \\ {c_k} lands on the merged tuple with the
-    derivation sign (-1)^k times the shuffle sign of interleaving S.  The
-    merged tuples are distinct, so nothing cancels.
+    Write e_S ^ e_C = eps e_U with U = S + C.  delta is a graded
+    derivation, so the term of e_S ^ delta(e_C) at U - c has the sign
+    (-1)^|S| eps times the sign of e_(U-c) in delta(e_U).  The terms are
+    distinct, so nothing cancels.
     """
+    u = s | circ
+    inv = s.bit_count()
+    rest = s
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        inv += (circ & (low - 1)).bit_count()  # members of C below this one of S
+    sign = -1 if inv % 2 else 1
     row: dict[int, int] = {}
-    for k in range(len(circ)):
-        facet = circ[:k] + circ[k + 1 :]
-        dsign = -1 if k % 2 else 1
-        inv = 0
-        for x in s:
-            for y in facet:
-                if x > y:
-                    inv += 1
-        row[col_of[tuple(sorted(s + facet))]] = -dsign if inv % 2 else dsign
+    rest = circ
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        row[col_of[u ^ low]] = -sign if (u & (low - 1)).bit_count() % 2 else sign
     return row
 
 
@@ -205,15 +232,14 @@ def _spread_rows(a: Arrangement, kind: IdealKind, q: int):
         sizes = range(3, min(q, n) + 1)  # |S| = q+1-|C| >= 1
     else:
         sizes = range(3, min(q + 1, n) + 1)
-    by_size: dict[int, list[tuple[int, ...]]] = {}
+    by_size: dict[int, list[int]] = {}
     if sizes:
         for c in a.circuits(min(max(sizes), n)):
-            by_size.setdefault(len(c), []).append(c)
-    col_of = basis_index(n, q)
+            by_size.setdefault(len(c), []).append(_mask(c))
+    col_of = _columns(a, q)
     for size in sizes:
         for circ in by_size.get(size, ()):
-            rest = [i for i in range(n) if i not in circ]
-            for s in itertools.combinations(rest, q + 1 - size):
+            for s in _subsets(n, circ, q + 1 - size):
                 yield _spread_row(s, circ, col_of)
 
 
@@ -232,15 +258,15 @@ def _circuit_walk(a: Arrangement, q: int, claimed: set[int]):
     other term swaps a smaller element of C for max C.  Yields
     ``(t, s, circ, first)``; ``first`` says t was not in ``claimed``,
     which the walk updates, so the same product claims each column on
-    every walk that starts from the same set.
+    every walk that starts from the same set.  S and C are masks.
     """
     n = a.n
-    col_of = basis_index(n, q)
-    for circ in a.circuits(min(q + 1, n)):
-        broken = circ[:-1]
-        rest = [i for i in range(n) if i not in circ]
-        for s in itertools.combinations(rest, q + 1 - len(circ)):
-            t = col_of[tuple(sorted(s + broken))]
+    col_of = _columns(a, q)
+    for c in a.circuits(min(q + 1, n)):
+        circ = _mask(c)
+        broken = circ ^ 1 << c[-1]
+        for s in _subsets(n, circ, q + 1 - len(c)):
+            t = col_of[s | broken]
             first = t not in claimed
             if first:
                 claimed.add(t)
@@ -261,7 +287,7 @@ def _full_basis(a: Arrangement, q: int) -> SparseHermite:
     lattice.
     """
     n = a.n
-    col_of = basis_index(n, q)
+    col_of = _columns(a, q)
     h = SparseHermite()
     pivots = h.pivots
     for row in _unit_rows(a, IdealKind.FULL, q):
@@ -307,16 +333,16 @@ def _decomposable_basis(a: Arrangement, q: int, full: SparseHermite) -> SparseHe
         return h
     last = max(f0)
     claimed = {t for t, row in fp.items() if len(row) == 1}
-    spans: dict[int, tuple] = {}  # mask of U -> one product e_S ^ delta(e_C)
+    spans: dict[int, tuple[int, int]] = {}  # U -> one product e_S ^ delta(e_C)
     in_basis: set[int] = set()
     for _, s, circ, first in _circuit_walk(a, q, claimed):
         if s:
-            u = _mask(s + circ)
+            u = s | circ
             if first:
                 in_basis.add(u)
             else:
                 spans.setdefault(u, (s, circ))
-    col_of = basis_index(a.n, q)
+    col_of = _columns(a, q)
     m = SparseHermite()
     for u, (s, circ) in spans.items():
         if u in in_basis:
@@ -695,9 +721,9 @@ def chordless_span_check(a: Arrangement, q: int, field: FieldSpec) -> SpanCheckR
     full = ideal_lattice(a, IdealKind.FULL, q)
     dec = ideal_lattice(a, IdealKind.DECOMPOSABLE, q)
     combined = dec.hnf.copy()
+    col_of = _columns(a, q)
     for circ in chordless:
-        row = delta(monomial(circ)).sparse_coordinates(a.n)
-        combined.insert(row)
+        combined.insert(_spread_row(0, _mask(circ), col_of))  # delta(e_C)
     spanned = IdealLattice(dec.kind, q, dec.ncols, combined)
     span_dim = spanned.rank_over(field) - dec.rank_over(field)
     target_dim = full.rank_over(field) - dec.rank_over(field)
@@ -718,5 +744,5 @@ def ideal_membership(a: Arrangement, u: ExteriorElement, kind: IdealKind) -> boo
     """Exact lattice membership (not merely rational span membership)."""
     if not 0 <= u.degree <= a.n:
         raise InputError(f"element degree {u.degree} out of range 0..{a.n}")
-    lat = ideal_lattice(a, kind, u.degree)
-    return lat.contains(u.sparse_coordinates(a.n))
+    row = u.sparse_coordinates(a.n)
+    return ideal_lattice(a, kind, u.degree).contains(row)

@@ -2,13 +2,16 @@
 
 import itertools
 import random
+from math import comb
 
 import pytest
 
+from hyparr.arrangement import _mask, build
 from hyparr.errors import InputError
 from hyparr.exterior import (
     ExteriorElement,
     basis,
+    column,
     delta,
     generator,
     monomial,
@@ -16,6 +19,7 @@ from hyparr.exterior import (
     wedge,
     zero,
 )
+from hyparr.osalgebra import _columns
 
 
 def from_coordinates(n, q, vector):
@@ -83,6 +87,26 @@ def test_basis_order_and_sizes():
     assert list(basis(5, 2)) == sorted(basis(5, 2))
     with pytest.raises(InputError):
         basis(3, 4)
+    # column ranks a tuple and the ideal layer's mask table numbers the
+    # q-sets in the same order
+    for n in range(9):
+        for q in range(n + 1):
+            assert [column(t, n) for t in basis(n, q)] == list(range(comb(n, q)))
+    for n in range(1, 9):
+        arr = build(n, [[int(i == j) for j in range(n)] for i in range(n)])
+        for q in range(n + 1):
+            assert list(_columns(arr, q)) == [_mask(t) for t in basis(n, q)]
+
+
+def test_coordinates_reject_indices_and_degrees_out_of_range():
+    with pytest.raises(InputError, match=r"\(0, 5\).*3 generators"):
+        monomial((0, 5)).coordinates(3)
+    with pytest.raises(InputError, match=r"\(-1, 0\)"):
+        monomial((-1, 0)).sparse_coordinates(3)
+    with pytest.raises(InputError, match="degree 4 out of range"):
+        ExteriorElement(4).coordinates(3)
+    with pytest.raises(InputError, match="degree -1 out of range"):
+        delta(one()).coordinates(3)
 
 
 def test_coordinates_roundtrip():

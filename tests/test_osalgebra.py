@@ -1,15 +1,17 @@
 """OS ideals: generators, Hilbert data, torsion, r-tables, span checks."""
 
+import gc
 import hashlib
 import itertools
 import json
 import random
+import tracemalloc
 from math import comb
 from pathlib import Path
 
 import pytest
 
-from hyparr.arrangement import build, from_graph
+from hyparr.arrangement import _mask, build, from_graph
 from hyparr.errors import InputError, InternalInvariantViolation
 from hyparr.exterior import delta, generator, monomial, wedge
 from hyparr.graphs import connected_graph_reps, make_graph
@@ -17,7 +19,9 @@ from hyparr.intlinalg import AbelianInvariants, FieldSpec, RATIONALS, SparseHerm
 from hyparr.osalgebra import (
     IdealKind,
     IdealLattice,
+    _columns,
     _generator_stream,
+    _spread_row,
     chordless_span_check,
     hilbert,
     ideal_generators,
@@ -282,6 +286,12 @@ def test_membership_boolean_degree1():
     assert not ideal_membership(arr, generator(0), IdealKind.FULL)
 
 
+def test_membership_rejects_an_index_past_n():
+    arr = build(2, [[1, 0], [0, 1], [1, 1]])
+    with pytest.raises(InputError, match=r"\(0, 5\).*3 generators"):
+        ideal_membership(arr, monomial((0, 5)), IdealKind.FULL)
+
+
 def test_membership_twogen6_identity():
     # x,y,z,t,H,P = 0,1,2,3,4,5; the two chordless 5-circuits and the two
     # 4-circuits of the worked example
@@ -414,6 +424,41 @@ def elimination_oracle(arr, kind, q):
         if h.rank == ncols and h.all_unit_pivots():
             break  # the lattice is all of Z^ncols; no generator can change it
     return h
+
+
+def test_spread_row_matches_wedge_of_delta():
+    # the mask signs of e_S ^ delta(e_C) against the exterior-algebra route
+    rng = random.Random(2013)
+    for n in range(3, 10):
+        arr = boolean(n)
+        for _ in range(200):
+            pool = rng.sample(range(n), rng.randint(1, n))
+            cut = rng.randint(0, len(pool) - 1)
+            s, c = sorted(pool[:cut]), sorted(pool[cut:])
+            q = len(pool) - 1
+            got = _spread_row(_mask(s), _mask(c), _columns(arr, q))
+            assert got == wedge(monomial(s), delta(monomial(c))).sparse_coordinates(n), (s, c)
+
+
+def test_lattices_leave_no_process_lifetime_tables():
+    # every table the ideal layer builds lives in the arrangement's cache,
+    # so once the arrangements are gone their memory is too
+    def lattices(k):
+        arr = from_graph(make_graph(k, list(itertools.combinations(range(k), 2))))
+        for q in range(arr.rank() + 1):
+            ideal_lattice(arr, IdealKind.DECOMPOSABLE, q)
+
+    lattices(3)  # first-call allocations that any process keeps
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for k in (4, 5, 6):
+            lattices(k)
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 64 * 1024, held
 
 
 def test_direct_full_and_decomposable_match_elimination():
