@@ -127,8 +127,11 @@ def mu_presentation(a: Arrangement) -> MuPresentation:
     the module docstring), so the gr0 basis is the FULL^{p+1} rows whose
     pivot is no QUADRATIC^{p+1} pivot, in ascending pivot order, and the
     class of a product is its residual after reduction by QUADRATIC^{p+2},
-    which is unique and lives on the non-pivot columns.  A non-unit pivot,
-    or a QUADRATIC^{p+1} pivot that FULL^{p+1} lacks, raises
+    which is unique and lives on the non-pivot columns.  These two are the
+    only QUADRATIC lattices ``analyze`` builds; each must have rank
+    C(n, q) - H(Abar)_q, the series read off the Groebner basis, so the two
+    routes check each other.  A rank off that count, a non-unit pivot, or a
+    QUADRATIC^{p+1} pivot that FULL^{p+1} lacks raises
     InternalInvariantViolation (exit 3).
     """
     cls = require_qualifying(a)
@@ -152,6 +155,13 @@ def mu_presentation(a: Arrangement) -> MuPresentation:
             f"QUADRATIC lattice in degree {d1} has a pivot the FULL lattice lacks, "
             "but I_2 lies in I"
         )
+    habar = hilbert(a, "Abar", RATIONALS).coefficients
+    for q, quad in ((d1, quad1), (d2, quad2)):
+        if quad.rank != comb(n, q) - habar[q]:
+            raise InternalInvariantViolation(
+                f"QUADRATIC lattice in degree {q} has rank {quad.rank}, but the "
+                f"Groebner basis of <I_2> leaves {habar[q]} of C({n},{q}) standard"
+            )
     gr0_rows = [
         full1.hnf.pivots[j] for j in sorted(full1.hnf.pivots) if j not in quad1.hnf.pivots
     ]

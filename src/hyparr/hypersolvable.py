@@ -223,15 +223,17 @@ def _exponent_product(exponents: list[int], upto: int) -> list[int]:
 def p_order(a: Arrangement) -> Optional[int]:
     """Largest s with rank A^t = rank Abar^t for all t <= s; None if all agree.
 
+    rank A^t comes from the FULL lattice and rank Abar^t from the Groebner
+    basis series ``hilbert(a, "Abar", Q)``; no QUADRATIC lattice is built.
     Both quotients are generated in degree 1, so once both vanish in one
     degree they vanish in all higher ones and the scan can stop.  The
     homotopy reading requires a hypersolvable arrangement; the raw sup is
     computed regardless and flagged by classify().
     """
+    habar = hilbert(a, "Abar", RATIONALS).coefficients
     for t in range(a.n + 1):
         ca = comb(a.n, t) - ideal_lattice(a, IdealKind.FULL, t).rank
-        cq = comb(a.n, t) - ideal_lattice(a, IdealKind.QUADRATIC, t).rank
-        if ca != cq:
+        if ca != habar[t]:
             return t - 1
         if t >= 1 and ca == 0:
             return None

@@ -32,10 +32,17 @@ Below the public API a q-set is an int mask; ``_columns(a, q)`` numbers
 the masks in the order of ``exterior.basis`` and dies with the arrangement.
 
 Above the rank FULL and DECOMPOSABLE fill their degree and are marked
-saturated.  Every rank, Hilbert coefficient, torsion check and membership
-test reduces to these cached per-degree bases; ``ideal_generators`` and the
-generator stream behind it stay as the spanning families the tests
-eliminate to check the direct constructions.
+saturated.  Every rank, torsion check, membership test and Hilbert
+coefficient but those of Abar reduces to these cached per-degree bases;
+``ideal_generators`` and the generator stream behind it stay as the
+spanning families the tests eliminate to check the direct constructions.
+
+H(Abar) = H(Lambda / <I_2>) is the number of standard monomials of a
+degree-truncated Groebner basis of <I_2> (``_abar_series``), built once
+per arrangement and characteristic; it has tens of elements where the
+QUADRATIC lattices have hundreds of thousands of columns.  So a QUADRATIC
+basis is built only where one is read: the mu map in degrees p+1 and p+2,
+the Abar invariants, membership and the public ``ideal_lattice``.
 """
 
 from __future__ import annotations
@@ -43,7 +50,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from math import comb
+from math import comb, gcd
 
 from .arrangement import Arrangement, _mask, memo
 from .errors import InputError, InternalInvariantViolation
@@ -198,6 +205,19 @@ def _unit_rows(a: Arrangement, kind: IdealKind, q: int):
                 yield {col: 1}
 
 
+def _wedge_sign(m: int, t: int) -> int:
+    """The sign of e_M ^ e_T = +-e_(M+T) for disjoint masks M and T.
+
+    A monomial multiplies its generators in ascending bit order.
+    """
+    inv = 0
+    while m:
+        low = m & -m
+        m ^= low
+        inv += (t & (low - 1)).bit_count()
+    return -1 if inv & 1 else 1
+
+
 def _spread_row(s: int, circ: int, col_of: dict[int, int]) -> dict[int, int]:
     """Coordinates of e_S ^ delta(e_C) for S disjoint from C, both masks.
 
@@ -207,13 +227,7 @@ def _spread_row(s: int, circ: int, col_of: dict[int, int]) -> dict[int, int]:
     distinct, so nothing cancels.
     """
     u = s | circ
-    inv = s.bit_count()
-    rest = s
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        inv += (circ & (low - 1)).bit_count()  # members of C below this one of S
-    sign = -1 if inv % 2 else 1
+    sign = (-1) ** s.bit_count() * _wedge_sign(s, circ)
     row: dict[int, int] = {}
     rest = circ
     while rest:
@@ -587,6 +601,154 @@ def ideal_lattice(a: Arrangement, kind: IdealKind, q: int) -> IdealLattice:
     return IdealLattice(kind, q, ncols, h)
 
 
+def _times(m: int, g: dict[int, int]) -> dict[int, int]:
+    """e_M ^ g."""
+    return {t | m: _wedge_sign(m, t) * c for t, c in g.items() if not t & m}
+
+
+def _eliminate(f: dict[int, int], m: int, lead: int, g: dict[int, int], p: int) -> None:
+    """Cancel the term at m of f, in place, with a multiple of e_(m-lead) ^ g.
+
+    Over F_p g is monic.  Over Q f is scaled only when g's lead coefficient
+    is not a unit, and then loses its content.
+    """
+    rest = m ^ lead
+    x = _wedge_sign(rest, lead) * g[lead]  # the coefficient at m of e_rest ^ g
+    y = f[m] * x
+    if x * x != 1:
+        for t in f:
+            f[t] *= x
+        y = f[m] // x
+    for u, c in _times(rest, g).items():
+        v = f.get(u, 0) - y * c
+        if p:
+            v %= p
+        if v:
+            f[u] = v
+        else:
+            del f[u]
+    if x * x != 1 and f:
+        c = gcd(*f.values())
+        if c > 1:
+            for t in f:
+                f[t] //= c
+
+
+def _reduce(f: dict[int, int], basis: list[tuple[int, dict[int, int]]], p: int) -> dict[int, int]:
+    """Top-reduce f, in place, until its lead is a multiple of no basis lead."""
+    while f:
+        m = max(f)
+        for lead, g in basis:
+            if lead & m == lead:
+                _eliminate(f, m, lead, g, p)
+                break
+        else:
+            break
+    return f
+
+
+def _count_standard(b: int, k: int, alive: list[int]) -> int:
+    """The k-sets of the bits below b that contain none of the masks in alive.
+
+    Bits are decided from the top down; a mask stays alive while its
+    undecided part still fits, and where none is alive the completions
+    are counted in closed form.
+    """
+    if not alive:
+        return comb(b, k)
+    if k > b:
+        return 0
+    b -= 1
+    bit = 1 << b
+    out = _count_standard(b, k, [r for r in alive if not r & bit])
+    if bit not in alive:
+        out += _count_standard(b, k - 1, [r & ~bit for r in alive if (r & ~bit).bit_count() < k])
+    return out
+
+
+@memo
+def _abar_series(a: Arrangement, p: int) -> tuple[int, ...]:
+    """H(Lambda / <I_2>) in degrees 0..n over Q (p = 0) or F_p.
+
+    Read off a Groebner basis of <delta(e_C) : |C| = 3>, built degree by
+    degree, fraction-free with the content removed over Q and mod p over
+    F_p.  Hyperplane i is bit n-1-i, an algebra isomorphism that carries
+    delta(e_C) to +-delta of the relabelled C, and a polynomial's lead, its
+    smallest basis(n, q) column, becomes its largest mask.  A degree's
+    items are the S-pairs and e_x ^ g for x in lead(g) (Stokes 1990);
+    ``_pair`` drops an S-pair by the chain criterion.  The coefficient is
+    the number of q-sets containing no lead, and each new lead of degree q
+    removes one of them.  in(<I_2>) lies in in(I), whose leads are the sets
+    holding a broken circuit (Bjorner-Ziegler 1991), so at least b_q q-sets
+    stay standard (b_q = 0 above the rank): a degree stops at that floor,
+    and a count below it is a contradiction.
+    """
+    n = a.n
+    gens = []
+    for c in a.circuits(min(3, n)):
+        if len(c) == 3:
+            hi, mid, lo = (1 << n - 1 - x for x in c)
+            gens.append({hi | mid: 1, hi | lo: -1, mid | lo: 1})  # delta(e_C), relabelled
+    if not gens:
+        return tuple(comb(n, q) for q in range(n + 1))  # I_2 = 0
+    betti = a.betti_mobius()
+    basis: list[tuple[int, dict[int, int]]] = []
+    todo: dict[int, list] = {2: gens}
+    coeffs = [1, n]
+    for d in range(2, n + 1):
+        floor = betti[d] if d < len(betti) else 0
+        std = _count_standard(n, d, [lead for lead, _ in basis])
+        items = todo.pop(d, [])
+        while std > floor and items:
+            f = _pair(basis, items.pop(), p)  # the newest item first
+            if f is None or not _reduce(f, basis, p):
+                continue
+            lead = max(f)
+            if p:
+                inv = pow(f[lead], -1, p)
+                f = {t: c * inv % p for t, c in f.items()}
+            for i, (other, _) in enumerate(basis):
+                todo.setdefault((other | lead).bit_count(), []).append((i, len(basis)))
+            todo.setdefault(d + 1, []).extend(
+                (len(basis), -(1 << x)) for x in range(n) if lead >> x & 1
+            )
+            basis.append((lead, f))
+            std -= 1
+        if std < floor:
+            raise InternalInvariantViolation(
+                f"{std} standard {d}-sets for <I_2>, below b_{d} = {floor}"
+            )
+        coeffs.append(std)
+        if not std:
+            break
+    return tuple(coeffs + [0] * (n + 1 - len(coeffs)))
+
+
+def _pair(basis: list[tuple[int, dict[int, int]]], item, p: int) -> dict[int, int] | None:
+    """The polynomial of one queued item, or None when the chain criterion drops it.
+
+    An item is a generator, ``(i, j)`` for the S-pair of basis elements
+    i < j, or ``(i, -(1 << x))`` for e_x ^ g_i.  The S-pair of g_i and g_j
+    is dropped when a third lead divides their lcm and both other pairs
+    have strictly lower degree, so they were settled before it.
+    """
+    if isinstance(item, dict):
+        return item
+    i, j = item
+    li, gi = basis[i]
+    if j < 0:
+        return _times(-j, gi)
+    lj, gj = basis[j]
+    u = li | lj
+    d = u.bit_count()
+    for lk, _ in basis:  # neither li nor lj passes: li | lj has degree d
+        if lk & u == lk and (li | lk).bit_count() < d and (lj | lk).bit_count() < d:
+            return None
+    f = _times(u ^ li, gi)
+    _eliminate(f, u, lj, gj, p)  # the S-polynomial
+    return f
+
+
 def ideal_generators(a: Arrangement, kind: IdealKind, q: int) -> GradedIdealPresentation:
     """Dense matrix of the spanning family in basis(n, q) coordinates."""
     _check_degree(a, q)
@@ -596,7 +758,9 @@ def ideal_generators(a: Arrangement, kind: IdealKind, q: int) -> GradedIdealPres
 def hilbert(a: Arrangement, quotient: str, field: FieldSpec) -> HilbertData:
     """Hilbert coefficients of the chosen quotient in degrees 0..n.
 
-    The algebra quotients are generated in degree 1, so once a coefficient
+    Abar is read off the Groebner basis of <I_2> (``_abar_series``), with
+    no QUADRATIC lattice; the other quotients come from the lattices.  The
+    algebra quotients are generated in degree 1, so once a coefficient
     vanishes all higher ones do; the indecomposables vanish above the rank
     because both ideals fill their degree there.  Both facts keep the big
     upper degrees free.
@@ -604,6 +768,8 @@ def hilbert(a: Arrangement, quotient: str, field: FieldSpec) -> HilbertData:
     if quotient not in QUOTIENTS:
         raise InputError(f"unknown quotient {quotient!r}, expected one of {QUOTIENTS}")
     n = a.n
+    if quotient == "Abar":
+        return HilbertData(quotient, field, _abar_series(a, field.characteristic))
     coeffs: list[int] = []
     if quotient == "IND":
         for q in range(n + 1):

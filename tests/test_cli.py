@@ -282,6 +282,27 @@ def test_search_seeded_determinism(tmp_path):
         assert cls["p"] == cls["c"] - 2
 
 
+def test_k7_analyze_bytes_are_frozen(tmp_path):
+    # recorded while every Hilbert coefficient of Abar was a QUADRATIC rank
+    edges = "".join(f"{u} {v}\n" for u in range(1, 8) for v in range(u + 1, 8))
+    out = tmp_path / "k7.json"
+    assert main(["analyze", "--input", write(tmp_path, "k7.graph", "graph 7\n" + edges),
+                 "--json", str(out)]) == 2
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "df032b994480d90d3b1d1369d858625ab00d2bfcd395152b74ace0dac858b041"
+    )
+
+
+def test_random2g_search_bytes_are_frozen(tmp_path):
+    # the search-random2g benchmark command; its 50 instances all qualify
+    out = tmp_path / "r.jsonl"
+    assert main(["search", "--family", "random2g", "--max-size", "12", "--seed", "0",
+                 "--count", "50", "--jobs", "1", "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "9eab69d027b769fe20a14a49fabc14e1f36409c7a4be74682f42db1974414ca2"
+    )
+
+
 @pytest.mark.parametrize(
     "seed, digest",
     [

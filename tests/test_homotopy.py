@@ -336,3 +336,63 @@ def test_mu_rejects_a_quadratic_lattice_against_the_theorem(
         mu_presentation(from_graph(THETA))
     assert main(["analyze", "--input", str(FIXTURES / "theta6.graph")]) == 3
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("offset", [1, 2])
+def test_mu_rejects_a_quadratic_lattice_off_the_groebner_series(monkeypatch, capsys, offset):
+    # a unit row at a FULL pivot passes every theorem check above; only the
+    # rank against H(Abar) from the Groebner basis catches it
+    from hyparr.cli import main
+
+    real = homotopy.ideal_lattice
+
+    def fake(a, kind, q):
+        lat = real(a, kind, q)
+        if kind is not IdealKind.QUADRATIC or q != classify(a).p + offset:
+            return lat
+        bad = lat.hnf.copy()
+        bad.insert({min(real(a, IdealKind.FULL, q).hnf.pivots): 1})
+        return IdealLattice(kind, q, lat.ncols, bad)
+
+    monkeypatch.setattr(homotopy, "ideal_lattice", fake)
+    message = f"degree {2 + offset} has rank 1, but the Groebner basis"
+    with pytest.raises(InternalInvariantViolation, match=message):
+        mu_presentation(from_graph(THETA))
+    assert main(["analyze", "--input", str(FIXTURES / "theta6.graph")]) == 3
+    assert message in capsys.readouterr().err
+
+
+def test_quadratic_bases_are_built_only_where_read(monkeypatch, tmp_path):
+    # analyze reads H(Abar) off the Groebner basis; QUADRATIC bases are
+    # built for mu alone, in degrees p+1 and p+2 of a qualifying input
+    import itertools
+
+    import hyparr.osalgebra as osalgebra
+    from hyparr.cli import main
+
+    real = osalgebra._quadratic_basis
+    built = []
+
+    def counted(a, q):
+        built.append(q)
+        return real(a, q)
+
+    monkeypatch.setattr(osalgebra, "_quadratic_basis", counted)
+    path = {(1, 2), (2, 3), (3, 4), (4, 5)}
+    k7p = tmp_path / "k7-minus-path.graph"
+    k7p.write_text("graph 7\n" + "".join(
+        f"{u} {v}\n" for u, v in itertools.combinations(range(1, 8), 2) if (u, v) not in path))
+    for name in (FIXTURES / "d4.arr", k7p):
+        assert main(["analyze", "--input", str(name), "--json", str(tmp_path / "out.json")]) == 2
+        assert built == [], name
+    qualifying = 0
+    for name in sorted(FIXTURES.iterdir()):
+        built.clear()
+        code = main(["analyze", "--input", str(name), "--json", str(tmp_path / "out.json")])
+        if code == 0:
+            p = classify(parse_input(str(name))).p
+            assert sorted(built) == [p + 1, p + 2], name
+            qualifying += 1
+        else:
+            assert built == [], name
+    assert qualifying >= 3

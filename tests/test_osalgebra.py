@@ -546,6 +546,71 @@ def test_both_quadratic_routes_are_exercised(monkeypatch):
         certified, uncertified, fixpoint_kills)
 
 
+def groebner_inputs():
+    """n = 0, n = 1, the fixtures, the 6-vertex corpus and 300 seeded {-1,0,1} inputs."""
+    from hyparr.cli import parse_input
+
+    yield build(2, [])
+    yield build(1, [[1]])
+    yield boolean(4)  # no 3-circuit: I_2 = 0
+    yield from (parse_input(str(p)) for p in sorted(FIXTURES.iterdir()))
+    yield from (from_graph(g) for g in connected_graph_reps(6))
+    gen = random.Random(1990)
+    for _ in range(300):
+        yield small_entries(gen, gen.choice((3, 4, 5)), gen.randint(3, 10))
+
+
+def test_groebner_series_matches_the_quadratic_lattices():
+    # H(Abar) read off the Groebner basis of <I_2> against the ranks of the
+    # QUADRATIC lattices, which eliminate over Z, in every degree and field
+    fields = (RATIONALS, FieldSpec(2), FieldSpec(3))
+    equal = gaps = 0
+    for arr in groebner_inputs():
+        for f in fields:
+            want = tuple(
+                comb(arr.n, q) - ideal_lattice(arr, IdealKind.QUADRATIC, q).rank_over(f)
+                for q in range(arr.n + 1)
+            )
+            assert hilbert(arr, "Abar", f).coefficients == want, (arr.normals, f)
+        habar, ha = (hilbert(arr, x, RATIONALS).coefficients for x in ("Abar", "A"))
+        equal += habar == ha
+        gaps += habar != ha
+    # series that stop at the floor b_q in every degree, and series above it
+    assert equal >= 100 and gaps >= 100, (equal, gaps)
+
+
+def test_groebner_series_survives_relabelling():
+    # the basis depends on the hyperplane order; the series must not.  The
+    # inputs: the fixtures (D4 among them), K6, B4 and K7 minus a path
+    from hyparr.cli import parse_input
+
+    inputs = [parse_input(str(p)) for p in sorted(FIXTURES.iterdir())]
+    inputs.append(from_graph(make_graph(6, itertools.combinations(range(6), 2))))
+    inputs.append(coxeter_b(4))
+    path = {(0, 1), (1, 2), (2, 3), (3, 4)}
+    inputs.append(from_graph(make_graph(7, sorted(set(itertools.combinations(range(7), 2)) - path))))
+    fields = (RATIONALS, FieldSpec(2))
+    rng = random.Random(2024)
+    for arr in inputs:
+        expected = [hilbert(arr, "Abar", f).coefficients for f in fields]
+        for _ in range(3):
+            copy = shuffled(arr, rng)
+            got = [hilbert(copy, "Abar", f).coefficients for f in fields]
+            assert got == expected, copy.normals
+
+
+def test_groebner_series_raises_below_the_broken_circuit_floor(monkeypatch):
+    # at least b_q q-sets are standard for <I_2>; K4 has 20 3-sets, so a
+    # floor raised past 20 in degree 3 must be reported, not reached
+    from hyparr.arrangement import Arrangement
+
+    arr = from_graph(make_graph(4, itertools.combinations(range(4), 2)))
+    betti = arr.betti_mobius()
+    monkeypatch.setattr(Arrangement, "betti_mobius", lambda self: betti[:3] + [betti[3] + 20])
+    with pytest.raises(InternalInvariantViolation, match="below b_3 = 26"):
+        hilbert(arr, "Abar", RATIONALS)
+
+
 def test_full_rank_check_raises_on_a_wrong_betti_number(monkeypatch):
     from hyparr.arrangement import Arrangement
 
