@@ -268,19 +268,14 @@ def cmd_search(args) -> int:
     jobs = args.jobs
     if jobs < 1:
         raise InputError(f"search needs --jobs >= 1, got {jobs}")
-    if args.family == "graphic":
+    graphic = args.family == "graphic"
+    if graphic:
         if args.max_size > GRAPHIC_VERTEX_BOUND:
             raise InputError(
                 f"graphic search is bounded at {GRAPHIC_VERTEX_BOUND} vertices"
             )
         if args.max_size < 1:
             raise InputError(f"graphic search needs --max-size >= 1, got {args.max_size}")
-        payloads = [
-            (g.vertex_count, form, g.edges)
-            for form, g in _keyed_connected_graph_reps(args.max_size)
-            if g.edges
-        ]
-        worker = _graphic_worker
     else:
         if args.max_size > RANDOM_SIZE_BOUND:
             raise InputError(
@@ -290,27 +285,40 @@ def cmd_search(args) -> int:
             raise InputError("random 2-generic search needs --max-size >= 4")
         if args.count < 1:
             raise InputError(f"random 2-generic search needs --count >= 1, got {args.count}")
-        payloads = list(
-            _random_2generic_instances(args.seed, args.max_size, args.count)
-        )
-        worker = _random_worker
 
-    if jobs == 1:
-        results = map(worker, payloads)
-    else:
-        # imported only here: it loads multiprocessing, which no other start needs
-        from concurrent.futures import ProcessPoolExecutor
-
-        # the pool starts all its workers at the first submit, so never ask
-        # for more than there are CPUs; the output bytes do not depend on it
-        pool = ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1))
-        results = pool.map(worker, payloads, chunksize=4)
-
-    out_path = Path(args.output)
-    torsion_hits = 0
-    emitted = 0
+    # opened before any work, so an unwritable path fails at once
     try:
-        with out_path.open("w", encoding="utf-8", newline="\n") as fh:
+        fh = Path(args.output).open("w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise InputError(f"cannot write {args.output}: {exc}") from exc
+    with fh:
+        if graphic:
+            payloads = [
+                (g.vertex_count, form, g.edges)
+                for form, g in _keyed_connected_graph_reps(args.max_size)
+                if g.edges
+            ]
+            worker = _graphic_worker
+        else:
+            payloads = list(
+                _random_2generic_instances(args.seed, args.max_size, args.count)
+            )
+            worker = _random_worker
+
+        if jobs == 1:
+            results = map(worker, payloads)
+        else:
+            # imported only here: it loads multiprocessing, which no other start needs
+            from concurrent.futures import ProcessPoolExecutor
+
+            # the pool starts all its workers at the first submit, so never ask
+            # for more than there are CPUs; the output bytes do not depend on it
+            pool = ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1))
+            results = pool.map(worker, payloads, chunksize=4)
+
+        torsion_hits = 0
+        emitted = 0
+        try:
             for line in results:
                 if line is None:
                     continue
@@ -318,11 +326,12 @@ def cmd_search(args) -> int:
                 emitted += 1
                 if '"torsion_found": true' in line:
                     torsion_hits += 1
-    except OSError as exc:
-        raise InputError(f"cannot write {args.output}: {exc}") from exc
-    finally:
-        if jobs > 1:
-            pool.shutdown()
+            fh.flush()  # a write error surfaces here, not in close
+        except OSError as exc:
+            raise InputError(f"cannot write {args.output}: {exc}") from exc
+        finally:
+            if jobs > 1:
+                pool.shutdown()
     print(f"instances={emitted} torsion_found={torsion_hits}", file=sys.stderr)
     return 0
 

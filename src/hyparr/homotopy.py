@@ -6,12 +6,13 @@ p, the objects computed here are:
 * gr0: the free abelian group of rank rank(I/I_2)^{p+1} (never zero);
 * the multiplication map mu: (I/I_2)^{p+1} (x) Lambda^1 -> (Lambda/I_2)^{p+2},
   presented as an integer matrix in bases read off the echelon pivots of
-  the cached ideal lattices.  Lambda/I_2 is the Orlik-Solomon algebra of a
-  supersolvable deformation with the same rank-2 flats (Jambu-Papadima),
-  whose ideal has a +-1-lead broken-circuit basis (Bjorner-Ziegler), so
-  the QUADRATIC pivots are units and both quotients are free on their
-  non-pivot columns; a non-unit pivot is an InternalInvariantViolation
-  (exit 3);
+  the cached ideal lattices.  The QUADRATIC lattices are products of the
+  Groebner basis of <I_2> that also gives H(Abar).  Lambda/I_2 is the
+  Orlik-Solomon algebra of a supersolvable deformation with the same
+  rank-2 flats (Jambu-Papadima), whose ideal has a +-1-lead broken-circuit
+  basis (Bjorner-Ziegler), so the QUADRATIC pivots are units and both
+  quotients are free on their non-pivot columns; a non-unit pivot is an
+  InternalInvariantViolation (exit 3);
 * gr1: the cokernel of the dual of mu.  Smith divisors are transpose
   invariant, so its invariants are read straight off the mu matrix:
   free rank = rows - #divisors, torsion = divisors > 1.
@@ -129,9 +130,11 @@ def mu_presentation(a: Arrangement) -> MuPresentation:
     class of a product is its residual after reduction by QUADRATIC^{p+2},
     which is unique and lives on the non-pivot columns.  These two are the
     only QUADRATIC lattices ``analyze`` builds; each must have rank
-    C(n, q) - H(Abar)_q, the series read off the Groebner basis, so the two
-    routes check each other.  A rank off that count, a non-unit pivot, or a
-    QUADRATIC^{p+1} pivot that FULL^{p+1} lacks raises
+    C(n, q) - H(Abar)_q.  Lattice and series come from one Groebner basis,
+    so that count checks how the lattice was written (or eliminated, when a
+    lead is not a unit); the pivots are checked against FULL, which is
+    built from the broken circuits alone.  A rank off that count, a
+    non-unit pivot, or a QUADRATIC^{p+1} pivot that FULL^{p+1} lacks raises
     InternalInvariantViolation (exit 3).
     """
     cls = require_qualifying(a)

@@ -18,31 +18,28 @@ as an echelon basis whose pivot is the smallest column of its row:
   numbers of the intersection lattice.
 * DECOMPOSABLE keeps every FULL row except the delta(e_C) with |C| = q+1,
   and eliminates only on the coordinates of those rows.
-* QUADRATIC splits by the Leibniz rule into the monomials of the q-sets
-  containing a 3-circuit and, on the other columns, one row of 1 or 3
-  entries +-1 per (q+1)-set whose 3-circuits share a point.  The first
-  row per leading column and the monomials form a unit-triangular family;
-  when it has rank I^q rows it is the basis (Q^q = I^q) and no other row
-  is generated.  Otherwise every row is generated: the 1-entry rows become
-  monomial pivots, their columns are stripped from the 3-entry rows until
-  no row is left with one entry, the first stripped row per leading column
-  becomes its pivot, and only the rows left over are eliminated.
+* QUADRATIC is written from a degree-truncated Groebner basis of <I_2>
+  (``_abar_groebner``), one product e_M ^ g per q-set holding a lead.
+  When every lead is +-1, as on every input seen so far, the rows are
+  unit-triangular and span Q^q exactly; otherwise the generators are
+  eliminated.
 
 Below the public API a q-set is an int mask; ``_columns(a, q)`` numbers
 the masks in the order of ``exterior.basis`` and dies with the arrangement.
 
 Above the rank FULL and DECOMPOSABLE fill their degree and are marked
 saturated.  Every rank, torsion check, membership test and Hilbert
-coefficient but those of Abar reduces to these cached per-degree bases;
-``ideal_generators`` and the generator stream behind it stay as the
-spanning families the tests eliminate to check the direct constructions.
+coefficient but those of Abar reduces to these cached per-degree bases.
+The generator stream behind ``ideal_generators`` is the QUADRATIC
+fallback and the spanning family the tests eliminate to check the direct
+constructions.
 
-H(Abar) = H(Lambda / <I_2>) is the number of standard monomials of a
-degree-truncated Groebner basis of <I_2> (``_abar_series``), built once
-per arrangement and characteristic; it has tens of elements where the
-QUADRATIC lattices have hundreds of thousands of columns.  So a QUADRATIC
-basis is built only where one is read: the mu map in degrees p+1 and p+2,
-the Abar invariants, membership and the public ``ideal_lattice``.
+H(Abar) = H(Lambda / <I_2>) is the number of standard monomials of that
+Groebner basis, built once per arrangement and characteristic; it has
+tens of elements where the QUADRATIC lattices have hundreds of thousands
+of columns.  So a QUADRATIC basis is built only where one is read: the mu
+map in degrees p+1 and p+2, the Abar invariants, membership and the
+public ``ideal_lattice``.
 """
 
 from __future__ import annotations
@@ -387,201 +384,52 @@ def _decomposable_basis(a: Arrangement, q: int, full: SparseHermite) -> SparseHe
     return h
 
 
-def _free_sets(third: list[list[int]], n: int, q: int) -> list[tuple[int, int, int]]:
-    """The q-sets containing no 3-circuit, in basis(n, q) order.
-
-    Returns ``(col, mask, forbid)`` per set: its column in basis(n, q), its
-    int mask, and the mask of the hyperplanes outside it that close a
-    3-circuit with two of its members.  A prefix that takes in a forbidden
-    hyperplane is dropped with all of its completions, which form one
-    block of consecutive columns.
-    """
-    out: list[tuple[int, int, int]] = []
-    col = 0
-    members: list[int] = []
-
-    def walk(start: int, mask: int, forbid: int) -> None:
-        nonlocal col
-        k = len(members)
-        if k == q:
-            out.append((col, mask, forbid))
-            col += 1
-            return
-        for v in range(start, n - q + k + 1):
-            if forbid >> v & 1:
-                col += comb(n - v - 1, q - k - 1)
-                continue
-            closing = third[v]
-            grown = forbid
-            for x in members:
-                grown |= closing[x]
-            members.append(v)
-            walk(v + 1, mask | 1 << v, grown)
-            members.pop()
-
-    walk(0, 0, 0)
-    return out
-
-
-@memo
-def _three_circuit_tables(a: Arrangement) -> tuple[list[list[int]], list[list[int]]]:
-    """``(third, pairs)`` for the 3-circuits, built once per arrangement.
-
-    third[x][y] is the mask of the z with {x, y, z} a 3-circuit, and
-    pairs[u] lists the masks of the {x, y} with {u, x, y} a 3-circuit.
-    """
-    n = a.n
-    third = [[0] * n for _ in range(n)]
-    pairs: list[list[int]] = [[] for _ in range(n)]
-    for c in a.circuits(min(3, n)):
-        for x, y, z in itertools.permutations(c):
-            third[x][y] |= 1 << z
-        cm = _mask(c)
-        for u in c:
-            pairs[u].append(cm ^ 1 << u)
-    return third, pairs
-
-
 def _quadratic_basis(a: Arrangement, q: int) -> SparseHermite:
-    """Echelon basis of the degree-q quadratic ideal Q^q from short rows.
+    """Echelon basis of the degree-q quadratic ideal Q^q, from the Groebner basis.
 
-    Call a q-set free when it contains no 3-circuit.  By the Leibniz rule
-    e_S ^ delta(e_C) = +-delta(e_U) modulo monomials containing C, where
-    U = S + C, so Q^q = M + L: M is spanned by the monomials of the
-    non-free q-sets, and L, on the free columns, by the projections
-    pi(delta(e_U)) = sum over u in K(U) of +-e_(U-u), one per (q+1)-set U
-    holding a 3-circuit, with K(U) the intersection of its 3-circuits (the
-    u with U - u free).  When K(U) is not empty, U = T + u with T free and
-    u = max K(U), and every 3-circuit of U passes through u.  In a simple
-    matroid K(U) is then {u, x, y} when x and y are the only members of T
-    on a 3-circuit with u, and {u} otherwise: two 3-circuits through u
-    that share x put a third one inside T.
+    Over Q every lead of the Groebner basis of <I_2> is +-1 in practice.
+    Then ``_eliminate`` never scaled a polynomial nor divided out a content,
+    so each basis element g is a Z-combination of products e_M ^ delta(e_C)
+    and lies in Q.  One row e_(T-L) ^ g per non-standard q-set T, g the
+    first element whose lead L lies in T, signed to lead +1, gives a
+    unit-triangular family: it spans a saturated lattice inside Q^q of rank
+    C(n, q) - H(Abar)_q = rank Q^q, which is therefore Q^q itself.  Where
+    H(Abar)_q = 0 that is all of Z^ncols, one unit row per column.  If a
+    lead is not a unit, the generators are eliminated instead.
 
-    Each U gives one row of 1 or 3 entries +-1 whose smallest column is T.
-    The first row per T, signed to lead +1, and the unit rows of M form a
-    unit-triangular family, so they span a saturated lattice inside
-    Q^q <= I^q.  When that family has rank I^q rows it is Q^q = I^q and no
-    other row is generated.  Otherwise every row is generated and the unit
-    rows are pivoted on first: each one makes its T a monomial of Q^q,
-    ``_strip_to_fixpoint`` removes such columns from the 3-entry rows
-    until no row is left with a single entry, the first row per remaining
-    smallest column becomes its pivot, and only the rest are inserted, by
-    smallest column and length.  A rank above rank I^q is a contradiction.
+    Q lies in I, so up to the rank every pivot must be a pivot of I^q;
+    building I^q also checks b_q, the floor at which a Groebner degree
+    stops.
     """
     n = a.n
-    third, pairs = _three_circuit_tables(a)
-    if not any(pairs):
-        return SparseHermite()  # I_2 = 0, so Q is zero in every degree
-    free = _free_sets(third, n, q)
-    col_of = {tm: t for t, tm, _ in free}
+    series, basis = _abar_groebner(a, 0)
     h = SparseHermite()
-    pivots = h.pivots
-    free_cols = set(col_of.values())
-    for col in range(comb(n, q)):
-        if col not in free_cols:
-            pivots[col] = {col: 1}  # the monomials of M
-    for t, tm, forbid in free:
-        row = next(_leibniz_rows(pairs, col_of, t, tm, forbid), None)
-        if row is not None:
-            pivots[t] = row
-    expected = comb(n, q) - (a.betti_mobius()[q] if q <= a.rank() else 0)
-    if h.rank < expected:
-        for t in free_cols:
-            pivots.pop(t, None)  # generated again below, with every other row
-        killed: set[int] = set()
-        rows = []
-        for t, tm, forbid in free:
-            for row in _leibniz_rows(pairs, col_of, t, tm, forbid):
-                if len(row) == 1:
-                    killed.add(t)  # K(U) = {u}: e_T is in Q^q
-                else:
-                    rows.append(row)
-        rows = _strip_to_fixpoint(rows, killed)
-        for c in killed:
-            pivots[c] = {c: 1}
-        rest = []
-        for row in rows:
-            lead = min(row)
-            if lead in pivots:
-                rest.append(row)
-            else:
-                if row[lead] < 0:
-                    for c in row:
-                        row[c] = -row[c]
-                pivots[lead] = row
-        # by leading column, shorter rows first, which keeps the fill low
-        rest.sort(key=lambda r: (min(r), len(r)))
-        for row in rest:
+    if any(g[lead] ** 2 != 1 for lead, g in basis):
+        for row in _generator_stream(a, IdealKind.QUADRATIC, q):
             h.insert(row)
-    if h.rank > expected:
-        raise InternalInvariantViolation(
-            f"quadratic ideal in degree {q} has rank {h.rank}, "
-            f"above rank I^{q} = {expected}"
-        )
+    elif not series[q]:
+        h.pivots = {col: {col: 1} for col in range(comb(n, q))}
+    elif series[q] < comb(n, q):
+        # hyperplane i is bit n-1-i in the basis, whose q-set masks come in
+        # column order from the combinations of the bits from the top down;
+        # reversing the factors of a q-set scales every row by one sign
+        bits = [1 << n - 1 - i for i in range(n)]
+        col_of = {m: col for col, m in enumerate(map(sum, itertools.combinations(bits, q)))}
+        leads = [(lead, g) for lead, g in basis if lead.bit_count() <= q]
+        for tm, t in col_of.items():
+            for lead, g in leads:
+                if lead & tm == lead:
+                    prod = _times(tm ^ lead, g)
+                    sign = 1 if prod[tm] > 0 else -1
+                    h.pivots[t] = {col_of[u]: sign * c for u, c in prod.items()}
+                    break
+    if q <= a.rank():
+        full = ideal_lattice(a, IdealKind.FULL, q).hnf
+        if not h.pivots.keys() <= full.pivots.keys():
+            raise InternalInvariantViolation(
+                f"quadratic ideal in degree {q} has a pivot that I^{q} lacks, but Q lies in I"
+            )
     return h
-
-
-def _strip_to_fixpoint(rows: list[dict[int, int]], killed: set[int]) -> list[dict[int, int]]:
-    """Remove the killed columns from the rows, in place, to a fixpoint.
-
-    ``killed`` holds columns c with e_c in the lattice, so removing an
-    entry at c subtracts a lattice vector: the entries stay +-1 and the
-    rows with the e_c still span the same lattice.  A row left with one
-    entry kills that column too.  Passes repeat until one kills nothing;
-    returns the rows left with two or more entries, in their order.
-    """
-    while True:
-        before = len(killed)
-        live = []
-        for row in rows:
-            if not killed.isdisjoint(row):
-                for c in [c for c in row if c in killed]:
-                    del row[c]
-            if len(row) > 1:
-                live.append(row)
-            elif row:
-                killed.update(row)
-        rows = live
-        if len(killed) == before:
-            return rows
-
-
-def _leibniz_rows(pairs: list[list[int]], col_of: dict[int, int], t: int, tm: int, forbid: int):
-    """The rows pi(delta(e_U)) led by the free q-set T (mask tm, column t).
-
-    U runs over T + u for the u in ``forbid`` with u = max K(U), in
-    ascending u; each row is signed so that its entry at t is +1.  The
-    members of T on a 3-circuit with u are the union of the pairs of u
-    that lie inside T; exactly two of them, x < y, give K(U) = {u, x, y}.
-    """
-    while forbid:
-        low = forbid & -forbid
-        forbid ^= low
-        on = 0
-        for pm in pairs[low.bit_length() - 1]:
-            if pm & tm == pm:
-                on |= pm
-        if on.bit_count() != 2:
-            yield {t: 1}  # K(U) = {u}, so e_T itself lies in Q^q
-        elif on < low:
-            um = tm | low
-            lead = _pos_sign(um, low)
-            x = on & -on
-            y = on ^ x
-            yield {
-                t: 1,
-                col_of[um ^ x]: lead * _pos_sign(um, x),
-                col_of[um ^ y]: lead * _pos_sign(um, y),
-            }
-        # otherwise U is built from T + u - y, and y is max K(U)
-
-
-def _pos_sign(mask: int, bit: int) -> int:
-    """(-1)^k for ``bit`` = 1 << x, x the k-th smallest member of mask.
-
-    With mask U it is the sign of e_(U-x) in delta(e_U).
-    """
-    return -1 if (mask & (bit - 1)).bit_count() % 2 else 1
 
 
 @memo
@@ -647,32 +495,38 @@ def _reduce(f: dict[int, int], basis: list[tuple[int, dict[int, int]]], p: int) 
     return f
 
 
-def _count_standard(b: int, k: int, alive: list[int]) -> int:
-    """The k-sets of the bits below b that contain none of the masks in alive.
+def _count_standard(b: int, lo: int, hi: int, alive: list[int]) -> list[int]:
+    """Entry k - lo: the k-sets of the bits below b that contain none of the
+    masks in alive, for lo <= k <= hi.
 
     Bits are decided from the top down; a mask stays alive while its
-    undecided part still fits, and where none is alive the completions
-    are counted in closed form.
+    undecided part still fits in hi bits, and where none is alive the
+    completions are counted in closed form.
     """
     if not alive:
-        return comb(b, k)
-    if k > b:
-        return 0
+        return [comb(b, k) if k >= 0 else 0 for k in range(lo, hi + 1)]
+    if lo > b:
+        return [0] * (hi - lo + 1)
     b -= 1
     bit = 1 << b
-    out = _count_standard(b, k, [r for r in alive if not r & bit])
-    if bit not in alive:
-        out += _count_standard(b, k - 1, [r & ~bit for r in alive if (r & ~bit).bit_count() < k])
-    return out
+    out = _count_standard(b, lo, hi, [r for r in alive if not r & bit])
+    if bit in alive:
+        return out
+    low = bit - 1
+    rest = _count_standard(b, lo - 1, hi - 1, [r & low for r in alive if (r & low).bit_count() < hi])
+    return [x + y for x, y in zip(out, rest)]
 
 
 @memo
-def _abar_series(a: Arrangement, p: int) -> tuple[int, ...]:
-    """H(Lambda / <I_2>) in degrees 0..n over Q (p = 0) or F_p.
+def _abar_groebner(
+    a: Arrangement, p: int
+) -> tuple[tuple[int, ...], list[tuple[int, dict[int, int]]]]:
+    """H(Lambda / <I_2>) in degrees 0..n over Q (p = 0) or F_p, and the basis.
 
-    Read off a Groebner basis of <delta(e_C) : |C| = 3>, built degree by
-    degree, fraction-free with the content removed over Q and mod p over
-    F_p.  Hyperplane i is bit n-1-i, an algebra isomorphism that carries
+    Both are read off a Groebner basis of <delta(e_C) : |C| = 3>, built
+    degree by degree, fraction-free with the content removed over Q and
+    mod p over F_p, and returned as (lead, polynomial) pairs in the order
+    found.  Hyperplane i is bit n-1-i, an algebra isomorphism that carries
     delta(e_C) to +-delta of the relabelled C, and a polynomial's lead, its
     smallest basis(n, q) column, becomes its largest mask.  A degree's
     items are the S-pairs and e_x ^ g for x in lead(g) (Stokes 1990);
@@ -681,7 +535,9 @@ def _abar_series(a: Arrangement, p: int) -> tuple[int, ...]:
     removes one of them.  in(<I_2>) lies in in(I), whose leads are the sets
     holding a broken circuit (Bjorner-Ziegler 1991), so at least b_q q-sets
     stay standard (b_q = 0 above the rank): a degree stops at that floor,
-    and a count below it is a contradiction.
+    and a count below it is a contradiction.  Once no item is queued at or
+    above a degree the basis is complete, and one walk counts the standard
+    sets of every remaining degree.
     """
     n = a.n
     gens = []
@@ -690,16 +546,19 @@ def _abar_series(a: Arrangement, p: int) -> tuple[int, ...]:
             hi, mid, lo = (1 << n - 1 - x for x in c)
             gens.append({hi | mid: 1, hi | lo: -1, mid | lo: 1})  # delta(e_C), relabelled
     if not gens:
-        return tuple(comb(n, q) for q in range(n + 1))  # I_2 = 0
+        return tuple(comb(n, q) for q in range(n + 1)), []  # I_2 = 0
     betti = a.betti_mobius()
+    floors = betti + [0] * (n + 1 - len(betti))
     basis: list[tuple[int, dict[int, int]]] = []
     todo: dict[int, list] = {2: gens}
     coeffs = [1, n]
     for d in range(2, n + 1):
-        floor = betti[d] if d < len(betti) else 0
-        std = _count_standard(n, d, [lead for lead, _ in basis])
+        if not todo:
+            coeffs += _count_standard(n, d, n, [lead for lead, _ in basis])
+            break
+        std = _count_standard(n, d, d, [lead for lead, _ in basis])[0]
         items = todo.pop(d, [])
-        while std > floor and items:
+        while std > floors[d] and items:
             f = _pair(basis, items.pop(), p)  # the newest item first
             if f is None or not _reduce(f, basis, p):
                 continue
@@ -714,14 +573,16 @@ def _abar_series(a: Arrangement, p: int) -> tuple[int, ...]:
             )
             basis.append((lead, f))
             std -= 1
-        if std < floor:
-            raise InternalInvariantViolation(
-                f"{std} standard {d}-sets for <I_2>, below b_{d} = {floor}"
-            )
         coeffs.append(std)
         if not std:
             break
-    return tuple(coeffs + [0] * (n + 1 - len(coeffs)))
+    coeffs += [0] * (n + 1 - len(coeffs))
+    for d, std in enumerate(coeffs):
+        if std < floors[d]:
+            raise InternalInvariantViolation(
+                f"{std} standard {d}-sets for <I_2>, below b_{d} = {floors[d]}"
+            )
+    return tuple(coeffs), basis
 
 
 def _pair(basis: list[tuple[int, dict[int, int]]], item, p: int) -> dict[int, int] | None:
@@ -758,7 +619,7 @@ def ideal_generators(a: Arrangement, kind: IdealKind, q: int) -> GradedIdealPres
 def hilbert(a: Arrangement, quotient: str, field: FieldSpec) -> HilbertData:
     """Hilbert coefficients of the chosen quotient in degrees 0..n.
 
-    Abar is read off the Groebner basis of <I_2> (``_abar_series``), with
+    Abar is read off the Groebner basis of <I_2> (``_abar_groebner``), with
     no QUADRATIC lattice; the other quotients come from the lattices.  The
     algebra quotients are generated in degree 1, so once a coefficient
     vanishes all higher ones do; the indecomposables vanish above the rank
@@ -769,7 +630,7 @@ def hilbert(a: Arrangement, quotient: str, field: FieldSpec) -> HilbertData:
         raise InputError(f"unknown quotient {quotient!r}, expected one of {QUOTIENTS}")
     n = a.n
     if quotient == "Abar":
-        return HilbertData(quotient, field, _abar_series(a, field.characteristic))
+        return HilbertData(quotient, field, _abar_groebner(a, field.characteristic)[0])
     coeffs: list[int] = []
     if quotient == "IND":
         for q in range(n + 1):

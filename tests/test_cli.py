@@ -426,6 +426,25 @@ def test_search_pool_never_exceeds_the_cpus(monkeypatch, tmp_path):
     assert serial.read_bytes() and serial.read_bytes() == wide.read_bytes()
 
 
+def test_search_to_an_unwritable_output_fails_before_any_work(monkeypatch, capsys, tmp_path):
+    # the output is opened before the payloads and the pool, so a bad path
+    # costs nothing, whatever --jobs asks for
+    import concurrent.futures
+
+    import hyparr.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("search did work before opening its output")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(cli, "_keyed_connected_graph_reps", refuse)
+    monkeypatch.setattr(cli, "_random_2generic_instances", refuse)
+    out = tmp_path / "missing" / "x.jsonl"
+    for family in (["graphic", "--max-size", "7"], ["random2g", "--max-size", "12"]):
+        assert main(["search", "--family", *family, "--jobs", "2", "--output", str(out)]) == 1
+        assert "error: cannot write" in capsys.readouterr().err
+
+
 def test_analyze_bound_rejects_before_any_work(monkeypatch, capsys, tmp_path):
     import itertools
 

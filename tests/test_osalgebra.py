@@ -482,68 +482,56 @@ def test_direct_full_and_decomposable_match_elimination():
     assert f0_seen >= 20 and m_seen >= 20
 
 
-def test_direct_quadratic_matches_elimination(monkeypatch):
-    # the uncertified route, and only it, strips the rows to a fixpoint
-    import hyparr.osalgebra as osalgebra
-
-    strip = osalgebra._strip_to_fixpoint
-    strips = 0
-
-    def counted(rows, killed):
-        nonlocal strips
-        strips += 1
-        return strip(rows, killed)
-
-    monkeypatch.setattr(osalgebra, "_strip_to_fixpoint", counted)
-    certified = uncertified = 0
+def test_direct_quadratic_matches_elimination():
+    # products of the Groebner basis against eliminating the generators
+    wide = unit_degrees = 0
     for arr in direct_construction_inputs():
-        betti = arr.betti_mobius()
         for q in range(arr.n + 1):
-            before = strips
             lat = ideal_lattice(arr, IdealKind.QUADRATIC, q)
             oracle = elimination_oracle(arr, IdealKind.QUADRATIC, q)
             assert lat.rank == oracle.rank, (arr.normals, q)
             assert sorted(lat.divisors()) == sorted(oracle.divisors())
             assert all(oracle.contains(row) for row in lat.hnf.rows_sorted())
             assert all(lat.contains(row) for row in oracle.rows_sorted())
-            if strips > before:
-                uncertified += 1
-            elif lat.rank == comb(arr.n, q) - (betti[q] if q < len(betti) else 0):
-                certified += 1  # the unit-lead family alone has rank I^q
-    # both the unit-lead certificate and the fallback elimination occur
-    assert certified >= 20 and uncertified >= 20, (certified, uncertified)
+            if lat.rank == comb(arr.n, q):
+                unit_degrees += 1  # H(Abar)_q = 0: one unit row per column
+            elif any(len(row) > 3 for row in lat.hnf.pivots.values()):
+                # e_M ^ delta(e_C) has at most 3 terms, so this row is the
+                # product of a basis element that is not a generator
+                wide += 1
+    assert wide >= 20 and unit_degrees >= 20, (wide, unit_degrees)
 
 
-def test_both_quadratic_routes_are_exercised(monkeypatch):
-    # without this the comparison above could pass without ever reaching
-    # the uncertified route or a column that only the fixpoint kills
+def test_quadratic_falls_back_to_elimination_on_a_non_unit_lead(monkeypatch):
+    # a Groebner basis with a lead of 2 proves nothing over Z, so the
+    # generators are eliminated instead
     import hyparr.osalgebra as osalgebra
 
-    strip = osalgebra._strip_to_fixpoint
-    calls = fixpoint_kills = 0
+    real = osalgebra._abar_groebner
 
-    def counted(rows, killed):
-        nonlocal calls, fixpoint_kills
-        before = set(killed)
-        live = strip(rows, killed)
-        calls += 1
-        fixpoint_kills += len(killed) > len(before)
-        assert before <= killed
-        assert all(len(row) > 1 and killed.isdisjoint(row) for row in live)
-        return live
+    def doubled(a, p):
+        series, basis = real(a, p)
+        lead, g = basis[-1]
+        return series, basis[:-1] + [(lead, {t: 2 * c for t, c in g.items()})]
 
-    monkeypatch.setattr(osalgebra, "_strip_to_fixpoint", counted)
-    certified = uncertified = 0
-    for arr in direct_construction_inputs():
-        for q in range(3, arr.n + 1):
-            before = calls
-            lat = ideal_lattice(arr, IdealKind.QUADRATIC, q)
-            if calls > before:
-                uncertified += 1
-            elif any(len(row) == 3 for row in lat.hnf.pivots.values()):
-                certified += 1  # first Leibniz rows as pivots, nothing else generated
-    assert certified >= 20 and uncertified >= 20 and fixpoint_kills >= 20, (
-        certified, uncertified, fixpoint_kills)
+    streams = []
+    stream = osalgebra._generator_stream
+
+    def counted(a, kind, q):
+        streams.append((kind, q))
+        return stream(a, kind, q)
+
+    monkeypatch.setattr(osalgebra, "_abar_groebner", doubled)
+    monkeypatch.setattr(osalgebra, "_generator_stream", counted)
+    arr = from_graph(make_graph(5, set(itertools.combinations(range(5), 2)) - {(0, 1)}))
+    for q in range(arr.n + 1):
+        lat = ideal_lattice(arr, IdealKind.QUADRATIC, q)
+        assert (IdealKind.QUADRATIC, q) in streams
+        oracle = elimination_oracle(arr, IdealKind.QUADRATIC, q)
+        assert lat.rank == oracle.rank, q
+        assert sorted(lat.divisors()) == sorted(oracle.divisors())
+        assert all(oracle.contains(row) for row in lat.hnf.rows_sorted())
+        assert all(lat.contains(row) for row in oracle.rows_sorted())
 
 
 def groebner_inputs():
@@ -562,21 +550,44 @@ def groebner_inputs():
 
 def test_groebner_series_matches_the_quadratic_lattices():
     # H(Abar) read off the Groebner basis of <I_2> against the ranks of the
-    # QUADRATIC lattices, which eliminate over Z, in every degree and field
+    # QUADRATIC lattices found by eliminating their generators over Z (the
+    # production lattices are written from that same basis), in every
+    # degree and field
     fields = (RATIONALS, FieldSpec(2), FieldSpec(3))
     equal = gaps = 0
     for arr in groebner_inputs():
+        oracles = [
+            IdealLattice(IdealKind.QUADRATIC, q, comb(arr.n, q),
+                         elimination_oracle(arr, IdealKind.QUADRATIC, q))
+            for q in range(arr.n + 1)
+        ]
         for f in fields:
-            want = tuple(
-                comb(arr.n, q) - ideal_lattice(arr, IdealKind.QUADRATIC, q).rank_over(f)
-                for q in range(arr.n + 1)
-            )
+            want = tuple(lat.ncols - lat.rank_over(f) for lat in oracles)
             assert hilbert(arr, "Abar", f).coefficients == want, (arr.normals, f)
         habar, ha = (hilbert(arr, x, RATIONALS).coefficients for x in ("Abar", "A"))
         equal += habar == ha
         gaps += habar != ha
     # series that stop at the floor b_q in every degree, and series above it
     assert equal >= 100 and gaps >= 100, (equal, gaps)
+
+
+def test_standard_set_walk_matches_a_brute_force_count():
+    # one walk over a window of sizes, as used once the basis is complete,
+    # against counting the k-sets that contain no lead one by one
+    from hyparr.osalgebra import _count_standard
+
+    rng = random.Random(1987)
+    for _ in range(300):
+        n = rng.randint(1, 10)
+        leads = [rng.randrange(1, 1 << n) for _ in range(rng.randint(0, 8))]
+        lo = rng.randint(0, n)
+        hi = rng.randint(lo, n)
+        want = [
+            sum(1 for t in range(1 << n)
+                if t.bit_count() == k and not any(m & t == m for m in leads))
+            for k in range(lo, hi + 1)
+        ]
+        assert _count_standard(n, lo, hi, leads) == want, (n, leads, lo, hi)
 
 
 def test_groebner_series_survives_relabelling():
@@ -634,6 +645,27 @@ def test_quadratic_rank_check_raises_on_a_wrong_betti_number(monkeypatch):
         ideal_lattice(arr, IdealKind.QUADRATIC, 2)
 
 
+def test_quadratic_pivot_that_the_full_lattice_lacks_raises(monkeypatch):
+    # Q lies in I, so up to the rank every QUADRATIC pivot is a FULL pivot;
+    # K4 has Q^2 = I^2, so dropping one FULL pivot must be reported
+    import hyparr.osalgebra as osalgebra
+
+    arr = from_graph(make_graph(4, itertools.combinations(range(4), 2)))
+    real = osalgebra.ideal_lattice
+
+    def thinned(a, kind, q):
+        lat = real(a, kind, q)
+        if kind is not IdealKind.FULL:
+            return lat
+        h = lat.hnf.copy()
+        del h.pivots[min(h.pivots)]
+        return IdealLattice(kind, q, lat.ncols, h)
+
+    monkeypatch.setattr(osalgebra, "ideal_lattice", thinned)
+    with pytest.raises(InternalInvariantViolation, match=r"has a pivot that I\^2 lacks"):
+        osalgebra._quadratic_basis(arr, 2)
+
+
 def invariants(arr):
     from hyparr.homotopy import (
         gr0_rank,
@@ -670,8 +702,9 @@ def invariants(arr):
 
 
 def test_invariants_survive_reordering_and_rescaling():
-    # the quadratic certificate depends on the hyperplane order; the
-    # invariants built on it must not, nor on the length of a normal
+    # the Groebner basis behind H(Abar) and the QUADRATIC lattices depends
+    # on the hyperplane order; the invariants built on it must not, nor on
+    # the length of a normal
     from hyparr.cli import parse_input
 
     inputs = [parse_input(str(p)) for p in sorted(FIXTURES.iterdir())]
