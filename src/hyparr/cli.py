@@ -331,7 +331,7 @@ def cmd_search(args) -> int:
             raise InputError(f"cannot write {args.output}: {exc}") from exc
         finally:
             if jobs > 1:
-                pool.shutdown()
+                pool.shutdown(cancel_futures=True)  # a failed write skips the rest
     print(f"instances={emitted} torsion_found={torsion_hits}", file=sys.stderr)
     return 0
 

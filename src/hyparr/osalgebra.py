@@ -19,27 +19,28 @@ as an echelon basis whose pivot is the smallest column of its row:
 * DECOMPOSABLE keeps every FULL row except the delta(e_C) with |C| = q+1,
   and eliminates only on the coordinates of those rows.
 * QUADRATIC is written from a degree-truncated Groebner basis of <I_2>
-  (``_abar_groebner``), one product e_M ^ g per q-set holding a lead.
-  When every lead is +-1, as on every input seen so far, the rows are
-  unit-triangular and span Q^q exactly; otherwise the generators are
+  over Q (``_abar_groebner``), one product e_M ^ g per q-set holding a
+  lead.  When every lead is +-1, as on every input seen so far, the rows
+  are unit-triangular and span Q^q exactly; otherwise the generators are
   eliminated.
 
 Below the public API a q-set is an int mask; ``_columns(a, q)`` numbers
 the masks in the order of ``exterior.basis`` and dies with the arrangement.
 
-Above the rank FULL and DECOMPOSABLE fill their degree and are marked
-saturated.  Every rank, torsion check, membership test and Hilbert
-coefficient but those of Abar reduces to these cached per-degree bases.
+FULL and DECOMPOSABLE above the rank, and QUADRATIC where H(Abar)_q = 0,
+fill their degree and are marked saturated.  Every rank, torsion check,
+membership test and Hilbert coefficient but those of Abar reduces to
+these cached per-degree bases.
 The generator stream behind ``ideal_generators`` is the QUADRATIC
 fallback and the spanning family the tests eliminate to check the direct
 constructions.
 
 H(Abar) = H(Lambda / <I_2>) is the number of standard monomials of that
-Groebner basis, built once per arrangement and characteristic; it has
-tens of elements where the QUADRATIC lattices have hundreds of thousands
-of columns.  So a QUADRATIC basis is built only where one is read: the mu
-map in degrees p+1 and p+2, the Abar invariants, membership and the
-public ``ideal_lattice``.
+Groebner basis, built once per arrangement; it has tens of elements where
+the QUADRATIC lattices have hundreds of thousands of columns.  So a
+QUADRATIC basis is built only where one is read: the mu map in degrees
+p+1 and p+2, the Abar invariants, membership, the public ``ideal_lattice``
+and, if a lead is not a unit, Abar over F_p (see ``hilbert``).
 """
 
 from __future__ import annotations
@@ -117,9 +118,9 @@ class SpanCheckReport:
 class IdealLattice:
     """Echelon basis of one ideal in one degree, with lazy invariant factors.
 
-    ``hnf is None`` marks a saturated lattice (all of Z^ncols): above the
-    matroid rank every monomial is dependent, so the full and decomposable
-    ideals fill their degree completely and no basis needs materializing.
+    ``hnf is None`` marks a saturated lattice (all of Z^ncols), with no
+    basis materialized: FULL and DECOMPOSABLE above the rank, where every
+    monomial is dependent, and QUADRATIC where H(Abar)_q = 0.
     """
 
     __slots__ = ("kind", "degree", "ncols", "hnf", "_divisors")
@@ -384,7 +385,7 @@ def _decomposable_basis(a: Arrangement, q: int, full: SparseHermite) -> SparseHe
     return h
 
 
-def _quadratic_basis(a: Arrangement, q: int) -> SparseHermite:
+def _quadratic_basis(a: Arrangement, q: int) -> SparseHermite | None:
     """Echelon basis of the degree-q quadratic ideal Q^q, from the Groebner basis.
 
     Over Q every lead of the Groebner basis of <I_2> is +-1 in practice.
@@ -394,21 +395,22 @@ def _quadratic_basis(a: Arrangement, q: int) -> SparseHermite:
     first element whose lead L lies in T, signed to lead +1, gives a
     unit-triangular family: it spans a saturated lattice inside Q^q of rank
     C(n, q) - H(Abar)_q = rank Q^q, which is therefore Q^q itself.  Where
-    H(Abar)_q = 0 that is all of Z^ncols, one unit row per column.  If a
-    lead is not a unit, the generators are eliminated instead.
+    H(Abar)_q = 0 (above the rank only) that is all of Z^ncols: None, the
+    saturated marker.  A non-unit lead has the generators eliminated in
+    every degree, as Z-torsion may survive where H(Abar)_q = 0.
 
     Q lies in I, so up to the rank every pivot must be a pivot of I^q;
     building I^q also checks b_q, the floor at which a Groebner degree
     stops.
     """
     n = a.n
-    series, basis = _abar_groebner(a, 0)
+    series, basis = _abar_groebner(a)
     h = SparseHermite()
-    if any(g[lead] ** 2 != 1 for lead, g in basis):
+    if not _unit_leads(basis):
         for row in _generator_stream(a, IdealKind.QUADRATIC, q):
             h.insert(row)
     elif not series[q]:
-        h.pivots = {col: {col: 1} for col in range(comb(n, q))}
+        return None
     elif series[q] < comb(n, q):
         # hyperplane i is bit n-1-i in the basis, whose q-set masks come in
         # column order from the combinations of the bits from the top down;
@@ -437,7 +439,7 @@ def ideal_lattice(a: Arrangement, kind: IdealKind, q: int) -> IdealLattice:
     """Echelon basis of the degree-q piece of the chosen ideal, built once."""
     _check_degree(a, q)
     ncols = comb(a.n, q)
-    if kind is not IdealKind.QUADRATIC and 0 < a.rank() < q:
+    if kind is not IdealKind.QUADRATIC and a.rank() < q:
         # every q-subset is dependent, so the monomials already fill Z^ncols
         h = None
     elif kind is IdealKind.FULL:
@@ -454,11 +456,16 @@ def _times(m: int, g: dict[int, int]) -> dict[int, int]:
     return {t | m: _wedge_sign(m, t) * c for t, c in g.items() if not t & m}
 
 
-def _eliminate(f: dict[int, int], m: int, lead: int, g: dict[int, int], p: int) -> None:
+def _unit_leads(basis: list[tuple[int, dict[int, int]]]) -> bool:
+    """Is every lead coefficient of the Groebner basis +-1?"""
+    return all(g[lead] ** 2 == 1 for lead, g in basis)
+
+
+def _eliminate(f: dict[int, int], m: int, lead: int, g: dict[int, int]) -> None:
     """Cancel the term at m of f, in place, with a multiple of e_(m-lead) ^ g.
 
-    Over F_p g is monic.  Over Q f is scaled only when g's lead coefficient
-    is not a unit, and then loses its content.
+    f is scaled only when g's lead coefficient is not a unit, and then
+    loses its content.
     """
     rest = m ^ lead
     x = _wedge_sign(rest, lead) * g[lead]  # the coefficient at m of e_rest ^ g
@@ -469,8 +476,6 @@ def _eliminate(f: dict[int, int], m: int, lead: int, g: dict[int, int], p: int) 
         y = f[m] // x
     for u, c in _times(rest, g).items():
         v = f.get(u, 0) - y * c
-        if p:
-            v %= p
         if v:
             f[u] = v
         else:
@@ -482,13 +487,13 @@ def _eliminate(f: dict[int, int], m: int, lead: int, g: dict[int, int], p: int) 
                 f[t] //= c
 
 
-def _reduce(f: dict[int, int], basis: list[tuple[int, dict[int, int]]], p: int) -> dict[int, int]:
+def _reduce(f: dict[int, int], basis: list[tuple[int, dict[int, int]]]) -> dict[int, int]:
     """Top-reduce f, in place, until its lead is a multiple of no basis lead."""
     while f:
         m = max(f)
         for lead, g in basis:
             if lead & m == lead:
-                _eliminate(f, m, lead, g, p)
+                _eliminate(f, m, lead, g)
                 break
         else:
             break
@@ -518,14 +523,12 @@ def _count_standard(b: int, lo: int, hi: int, alive: list[int]) -> list[int]:
 
 
 @memo
-def _abar_groebner(
-    a: Arrangement, p: int
-) -> tuple[tuple[int, ...], list[tuple[int, dict[int, int]]]]:
-    """H(Lambda / <I_2>) in degrees 0..n over Q (p = 0) or F_p, and the basis.
+def _abar_groebner(a: Arrangement) -> tuple[tuple[int, ...], list[tuple[int, dict[int, int]]]]:
+    """H(Lambda / <I_2>) in degrees 0..n over Q, and the basis.
 
     Both are read off a Groebner basis of <delta(e_C) : |C| = 3>, built
-    degree by degree, fraction-free with the content removed over Q and
-    mod p over F_p, and returned as (lead, polynomial) pairs in the order
+    degree by degree over Q, fraction-free with the content removed, and
+    returned as (lead, polynomial) pairs, in the order that they were
     found.  Hyperplane i is bit n-1-i, an algebra isomorphism that carries
     delta(e_C) to +-delta of the relabelled C, and a polynomial's lead, its
     smallest basis(n, q) column, becomes its largest mask.  A degree's
@@ -559,13 +562,10 @@ def _abar_groebner(
         std = _count_standard(n, d, d, [lead for lead, _ in basis])[0]
         items = todo.pop(d, [])
         while std > floors[d] and items:
-            f = _pair(basis, items.pop(), p)  # the newest item first
-            if f is None or not _reduce(f, basis, p):
+            f = _pair(basis, items.pop())  # the newest item first
+            if f is None or not _reduce(f, basis):
                 continue
             lead = max(f)
-            if p:
-                inv = pow(f[lead], -1, p)
-                f = {t: c * inv % p for t, c in f.items()}
             for i, (other, _) in enumerate(basis):
                 todo.setdefault((other | lead).bit_count(), []).append((i, len(basis)))
             todo.setdefault(d + 1, []).extend(
@@ -585,7 +585,7 @@ def _abar_groebner(
     return tuple(coeffs), basis
 
 
-def _pair(basis: list[tuple[int, dict[int, int]]], item, p: int) -> dict[int, int] | None:
+def _pair(basis: list[tuple[int, dict[int, int]]], item) -> dict[int, int] | None:
     """The polynomial of one queued item, or None when the chain criterion drops it.
 
     An item is a generator, ``(i, j)`` for the S-pair of basis elements
@@ -606,7 +606,7 @@ def _pair(basis: list[tuple[int, dict[int, int]]], item, p: int) -> dict[int, in
         if lk & u == lk and (li | lk).bit_count() < d and (lj | lk).bit_count() < d:
             return None
     f = _times(u ^ li, gi)
-    _eliminate(f, u, lj, gj, p)  # the S-polynomial
+    _eliminate(f, u, lj, gj)  # the S-polynomial
     return f
 
 
@@ -620,7 +620,9 @@ def hilbert(a: Arrangement, quotient: str, field: FieldSpec) -> HilbertData:
     """Hilbert coefficients of the chosen quotient in degrees 0..n.
 
     Abar is read off the Groebner basis of <I_2> (``_abar_groebner``), with
-    no QUADRATIC lattice; the other quotients come from the lattices.  The
+    no QUADRATIC lattice; over F_p only if every lead is +-1, which makes
+    Lambda^q / Q^q free of rank H(Abar)_q.  The other quotients, and Abar
+    over F_p otherwise, come from the lattices' Smith divisors.  The
     algebra quotients are generated in degree 1, so once a coefficient
     vanishes all higher ones do; the indecomposables vanish above the rank
     because both ideals fill their degree there.  Both facts keep the big
@@ -630,7 +632,9 @@ def hilbert(a: Arrangement, quotient: str, field: FieldSpec) -> HilbertData:
         raise InputError(f"unknown quotient {quotient!r}, expected one of {QUOTIENTS}")
     n = a.n
     if quotient == "Abar":
-        return HilbertData(quotient, field, _abar_groebner(a, field.characteristic)[0])
+        series, basis = _abar_groebner(a)
+        if not field.characteristic or _unit_leads(basis):
+            return HilbertData(quotient, field, series)
     coeffs: list[int] = []
     if quotient == "IND":
         for q in range(n + 1):
@@ -640,16 +644,11 @@ def hilbert(a: Arrangement, quotient: str, field: FieldSpec) -> HilbertData:
             coeffs.append(c)
     else:
         kind = _KIND_OF_QUOTIENT[quotient]
-        vanished = False
         for q in range(n + 1):
-            if vanished:
+            if q >= 2 and not coeffs[-1]:
                 coeffs.append(0)
-                continue
-            lat = ideal_lattice(a, kind, q)
-            c = comb(n, q) - lat.rank_over(field)
-            coeffs.append(c)
-            if q >= 1 and c == 0:
-                vanished = True
+            else:
+                coeffs.append(comb(n, q) - ideal_lattice(a, kind, q).rank_over(field))
     return HilbertData(quotient, field, tuple(coeffs))
 
 
@@ -686,7 +685,7 @@ def discovered_torsion_primes(a: Arrangement) -> list[int]:
     have the same invariant factors above 1.
     """
     primes: set[int] = set()
-    for q in range(2, min(a.rank(), a.n) + 1):
+    for q in range(2, a.rank() + 1):
         for d in quotient_invariants_graded(a, "Aplus", q).torsion_factors:
             primes.update(prime_factors(d))
     return sorted(primes)

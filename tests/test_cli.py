@@ -413,7 +413,7 @@ def test_search_pool_never_exceeds_the_cpus(monkeypatch, tmp_path):
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
-        def shutdown(self):
+        def shutdown(self, cancel_futures=False):
             pass
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
@@ -424,6 +424,46 @@ def test_search_pool_never_exceeds_the_cpus(monkeypatch, tmp_path):
                      "--jobs", jobs, "--output", str(out)]) == 0
     assert len(sizes) == 1 and 1 <= sizes[0] <= (os.cpu_count() or 1)
     assert serial.read_bytes() and serial.read_bytes() == wide.read_bytes()
+
+
+def test_search_write_failure_under_jobs_cancels_the_pool(monkeypatch, capsys, tmp_path):
+    # a write that fails partway must not wait for the payloads still queued:
+    # the pool is shut down with its pending work cancelled
+    import concurrent.futures
+    import errno
+    import io
+
+    import hyparr.cli as cli
+
+    shutdowns = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            pass
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+        def shutdown(self, **kwargs):
+            shutdowns.append(kwargs)
+
+    class FullDisk(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    class FullPath:
+        def __init__(self, path):
+            pass
+
+        def open(self, *args, **kwargs):
+            return FullDisk()
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(cli, "Path", FullPath)
+    assert main(["search", "--family", "graphic", "--max-size", "4", "--jobs", "2",
+                 "--output", str(tmp_path / "x.jsonl")]) == 1
+    assert "error: cannot write" in capsys.readouterr().err
+    assert shutdowns == [{"cancel_futures": True}]
 
 
 def test_search_to_an_unwritable_output_fails_before_any_work(monkeypatch, capsys, tmp_path):

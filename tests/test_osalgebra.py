@@ -312,22 +312,40 @@ def test_membership_twogen6_identity():
 
 
 def test_saturated_marker_matches_direct_construction():
-    # above the rank the lattice marker must agree with building the
-    # Hermite basis from the raw generator stream
+    # the lattice marker must agree with building the Hermite basis from
+    # the raw generator stream: FULL and DECOMPOSABLE above the rank, and
+    # QUADRATIC exactly where H(Abar)_q = 0
     from math import comb
 
-    for arr in (from_graph(K3), build(4, TWOGEN6)):
+    from hyparr.cli import parse_input
+
+    def check(arr, kind, q):
+        lat = ideal_lattice(arr, kind, q)
+        assert lat.saturated, (arr.normals, kind, q)
+        h = SparseHermite()
+        for row in _generator_stream(arr, kind, q):
+            h.insert(row)
+        assert h.rank == comb(arr.n, q) == lat.rank
+        assert h.all_unit_pivots()
+        assert h.divisors() == lat.divisors()
+
+    k4 = from_graph(make_graph(4, itertools.combinations(range(4), 2)))
+    d4 = parse_input(str(FIXTURES / "d4.arr"))  # H(Abar)_5 = 3, above the rank 4
+    quadratic = 0
+    for arr in (from_graph(K3), build(4, TWOGEN6), k4, d4):
         r = arr.rank()
         for q in range(r + 1, arr.n + 1):
             for kind in (IdealKind.FULL, IdealKind.DECOMPOSABLE):
-                lat = ideal_lattice(arr, kind, q)
-                assert lat.saturated
-                h = SparseHermite()
-                for row in _generator_stream(arr, kind, q):
-                    h.insert(row)
-                assert h.rank == comb(arr.n, q) == lat.rank
-                assert h.all_unit_pivots()
-                assert h.divisors() == lat.divisors()
+                check(arr, kind, q)
+        abar = hilbert(arr, "Abar", RATIONALS).coefficients
+        for q in range(arr.n + 1):
+            if abar[q]:
+                assert not ideal_lattice(arr, IdealKind.QUADRATIC, q).saturated, (arr.normals, q)
+            else:
+                assert q > r
+                check(arr, IdealKind.QUADRATIC, q)
+                quadratic += 1
+    assert quadratic == 1 + 3 + 7, quadratic  # K3 degree 3, K4 degrees 4-6, D4 degrees 6-12
 
 
 def test_ind_vanishes_without_chordless_circuits():
@@ -491,11 +509,12 @@ def test_direct_quadratic_matches_elimination():
             oracle = elimination_oracle(arr, IdealKind.QUADRATIC, q)
             assert lat.rank == oracle.rank, (arr.normals, q)
             assert sorted(lat.divisors()) == sorted(oracle.divisors())
-            assert all(oracle.contains(row) for row in lat.hnf.rows_sorted())
             assert all(lat.contains(row) for row in oracle.rows_sorted())
-            if lat.rank == comb(arr.n, q):
-                unit_degrees += 1  # H(Abar)_q = 0: one unit row per column
-            elif any(len(row) > 3 for row in lat.hnf.pivots.values()):
+            if lat.saturated:
+                unit_degrees += 1  # H(Abar)_q = 0: all of Z^ncols, no rows stored
+                continue
+            assert all(oracle.contains(row) for row in lat.hnf.rows_sorted())
+            if any(len(row) > 3 for row in lat.hnf.pivots.values()):
                 # e_M ^ delta(e_C) has at most 3 terms, so this row is the
                 # product of a basis element that is not a generator
                 wide += 1
@@ -504,13 +523,14 @@ def test_direct_quadratic_matches_elimination():
 
 def test_quadratic_falls_back_to_elimination_on_a_non_unit_lead(monkeypatch):
     # a Groebner basis with a lead of 2 proves nothing over Z, so the
-    # generators are eliminated instead
+    # generators are eliminated instead, and Abar over F_p is read off
+    # those lattices' Smith divisors rather than the series over Q
     import hyparr.osalgebra as osalgebra
 
     real = osalgebra._abar_groebner
 
-    def doubled(a, p):
-        series, basis = real(a, p)
+    def doubled(a):
+        series, basis = real(a)
         lead, g = basis[-1]
         return series, basis[:-1] + [(lead, {t: 2 * c for t, c in g.items()})]
 
@@ -524,6 +544,16 @@ def test_quadratic_falls_back_to_elimination_on_a_non_unit_lead(monkeypatch):
     monkeypatch.setattr(osalgebra, "_abar_groebner", doubled)
     monkeypatch.setattr(osalgebra, "_generator_stream", counted)
     arr = from_graph(make_graph(5, set(itertools.combinations(range(5), 2)) - {(0, 1)}))
+    oracles = [
+        IdealLattice(IdealKind.QUADRATIC, q, comb(arr.n, q),
+                     elimination_oracle(arr, IdealKind.QUADRATIC, q))
+        for q in range(arr.n + 1)
+    ]
+    for f in (FieldSpec(2), FieldSpec(3)):
+        want = tuple(lat.ncols - lat.rank_over(f) for lat in oracles)
+        assert hilbert(arr, "Abar", f).coefficients == want, f
+    assert (IdealKind.QUADRATIC, 2) in streams  # the F_p route built lattices
+    assert hilbert(arr, "Abar", RATIONALS).coefficients == real(arr)[0]
     for q in range(arr.n + 1):
         lat = ideal_lattice(arr, IdealKind.QUADRATIC, q)
         assert (IdealKind.QUADRATIC, q) in streams
