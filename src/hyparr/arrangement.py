@@ -87,11 +87,17 @@ class Arrangement:
 
     def subset_rank(self, indices: Iterable[int]) -> int:
         """Rank over Q of the chosen normals (exact Hermite elimination)."""
-        s = frozenset(indices)
-        for i in s:
+        m = self._checked_mask(indices)
+        return rank_over_field([self.normals[i] for i in _indices(m)], RATIONALS)
+
+    def _checked_mask(self, indices: Iterable[int]) -> int:
+        """The int mask of hyperplane indices; InputError names one out of range."""
+        m = 0
+        for i in indices:
             if not 0 <= i < self.n:
                 raise InputError(f"hyperplane index {i} out of range")
-        return rank_over_field([self.normals[i] for i in s], RATIONALS)
+            m |= 1 << i
+        return m
 
     def rank(self) -> int:
         return self._full_rank
@@ -106,10 +112,7 @@ class Arrangement:
         return tuple(_primitive(v) for v in self.normals)
 
     def is_dependent(self, s: Iterable[int]) -> bool:
-        m = _mask(s)
-        if m >> self.n:
-            raise InputError(f"hyperplane index {m.bit_length() - 1} out of range")
-        return self._dependent(m)
+        return self._dependent(self._checked_mask(s))
 
     def _dependent(self, m: int) -> bool:
         k = m.bit_count()

@@ -13,14 +13,35 @@ writing D = T minus B,
 Collinearity means rank {x, y, z} = 2, so everything reads one table,
 ``Arrangement.pair_closures``: ``line[a][b]`` is the int mask of the
 rank-2 closure of {a, b}, computed once per arrangement.  Sets of
-hyperplanes are int masks too, and each condition has one implementation
-(``_unclosed``, ``_f``, ``_solvable``) shared by ``solvable_extension_check``
-and the search.  The search for a series backtracks over candidate
+hyperplanes are int masks too.  ``solvable_extension_check`` tests (I)
+with ``_unclosed``; it and the search share ``_f`` and ``_solvable`` for
+(II) and (III).  The search for a series backtracks over the closed
 extension sets, smallest first, and memoizes dead states; absence of a
-series is therefore exhaustive.  ``composition_series`` and ``classify``
-are ``arrangement.memo`` functions: each runs once per arrangement, and a
-None series is stored too, so the search-worker filter, ``classify`` and
-``is_supersolvable`` share one search.
+series is therefore exhaustive.
+
+The search decides (I) without building an unclosed state, by this
+lemma.  Let s be nonempty and closed in the whole arrangement, d a
+hyperplane outside it, and need_s(d) = (OR over x in s of line[d][x])
+minus s.  For a D outside s that meets (II), s + D is closed in the whole
+arrangement iff need_s(d) lies in D for every d in D.  Closed means that
+every line through two members of s + D stays inside it; take the pairs
+in three cases:
+  - a pair inside s: s is closed;
+  - a pair x in s, d in D: line[x][d] minus s lies in need_s(d), and
+    need_s(d) is the union of these, which gives the converse too;
+  - a pair d, d' in D: line[d][d'] = line[d][f(d, d')], and f(d, d') is in
+    s, so the previous case covers it.
+Moreover e != d lies in need_s(d) exactly when line[d][e] meets s, that is
+when f(d, e) exists, so (II) says D lies in need_s(d) for each d in D.
+Together: D is a closed extension meeting (II) iff D = need_s(d) for every
+d in D.  The candidates are therefore the sets need_s(d) on which need_s
+is constant, at most one per hyperplane and pairwise disjoint, and only
+(III) is left to test.
+
+``composition_series`` and ``classify`` are ``arrangement.memo``
+functions: each runs once per arrangement, and a None series is stored
+too, so the search-worker filter, ``classify`` and ``is_supersolvable``
+share one search.
 
 The exponent product identity prod(1 + d_i t) = Hilbert(Lambda / I_2) over
 the rationals is enforced for every series found, which guards conditions
@@ -32,9 +53,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb
-from typing import Optional, Sequence
+from typing import Optional
 
-from .arrangement import Arrangement, _indices, _mask, memo
+from .arrangement import Arrangement, _indices, memo
 from .errors import InputError, InternalInvariantViolation
 from .intlinalg import RATIONALS
 from .osalgebra import IdealKind, hilbert, ideal_lattice
@@ -106,18 +127,18 @@ def solvable_extension_check(
     """Check conditions (I)-(III) for the extension b inside ``within``.
 
     ``within`` defaults to the whole arrangement.  Returns (True, None) or
-    (False, (condition_name, witnessing hyperplane indices)).
+    (False, (condition_name, witnessing hyperplane indices)).  An index
+    outside the arrangement raises InputError.
     """
-    whole = frozenset(range(a.n)) if within is None else frozenset(within)
-    bset = frozenset(b)
-    if not bset or not bset < whole:
+    whole = (1 << a.n) - 1 if within is None else a._checked_mask(within)
+    s = a._checked_mask(b)
+    if not s or s & ~whole or s == whole:
         raise InputError("b must be a nonempty proper subset of the ambient set")
     line = a.pair_closures()
-    s = _mask(bset)
-    bad = _unclosed(line, s, _mask(whole))
+    bad = _unclosed(line, s, whole)
     if bad is not None:
         return False, ("closedness", bad)
-    rest = sorted(whole - bset)
+    rest = _indices(whole & ~s)
     f: dict[tuple[int, int], int] = {}
     for d, d2 in itertools.combinations(rest, 2):
         f[d, d2] = _f(line, s, d, d2)
@@ -129,47 +150,18 @@ def solvable_extension_check(
     return True, None
 
 
-def _extensions(line: list[list[int]], s: int, rest: Sequence[int]) -> list[tuple[int, ...]]:
-    """Every nonempty D in ``rest`` meeting (II) and (III) over s, by size then lex.
-
-    Both conditions pass to subsets, so D grows one hyperplane at a time
-    and a failing D is never extended.
-    """
-    f = {}
-    for d, d2 in itertools.combinations(rest, 2):
-        v = _f(line, s, d, d2)
-        if v is not None:
-            f[d, d2] = v
-    out: list[tuple[int, ...]] = []
-    _grow(line, f, out, (), rest)
-    out.sort(key=lambda dset: (len(dset), dset))
-    return out
-
-
-def _grow(
-    line: list[list[int]],
-    f: dict[tuple[int, int], int],
-    out: list[tuple[int, ...]],
-    dset: tuple[int, ...],
-    allowed: Sequence[int],
-) -> None:
-    """Append to ``out`` every passing dset + (d, ...) with d from ``allowed``."""
-    for k, d in enumerate(allowed):
-        if all(
-            _solvable(line, f[x, y], f[x, d], f[y, d])
-            for x, y in itertools.combinations(dset, 2)
-        ):
-            out.append(dset + (d,))
-            _grow(line, f, out, dset + (d,), [e for e in allowed[k + 1 :] if (d, e) in f])
-
-
 @memo
 def composition_series(a: Arrangement) -> Optional[CompositionSeries]:
     """A hypersolvable composition series, or None when none exists.
 
-    The backtracking explores minimal extensions first with a deterministic
-    order, and memoizes dead states, so the first series found is canonical
-    and a None answer is an exhaustive proof of absence.
+    The backtracking starts from each singleton in turn and explores the
+    closed extensions of a state smallest first, in a deterministic order,
+    memoizing dead states, so the first series found is canonical and a
+    None answer is an exhaustive proof of absence.  Closedness is
+    transitive along solvable extensions, so a state not closed in the
+    whole arrangement can never finish a chain; by the lemma in the module
+    docstring the search lists only closed children and never tests one
+    after building it.
     """
     n = a.n
     if n == 0:
@@ -193,23 +185,65 @@ def _extend(
 ) -> Optional[list[int]]:
     """The first chain of solvable extensions from s to ``full``, or None.
 
-    States that cannot finish a chain are added to ``dead``.
+    s is closed in the whole arrangement: a singleton is, and every child
+    comes from ``_closed_extensions``, which applies the lemma of the
+    module docstring (pairs inside s, pairs across s and D, pairs inside
+    D).  States that cannot finish a chain are added to ``dead``.
     """
     if s == full:
         return chain
     if s in dead:
         return None
-    # closedness is transitive along solvable extensions, so a state
-    # not closed in the whole arrangement can never finish a chain;
-    # a closed one is closed inside every s + D, leaving (II), (III)
-    if _unclosed(line, s, full) is None:
-        for dset in _extensions(line, s, _indices(full & ~s)):
-            t = s | _mask(dset)
-            got = _extend(line, full, dead, t, chain + [t])
-            if got is not None:
-                return got
+    for dset in _closed_extensions(line, s, full):
+        t = s | dset
+        got = _extend(line, full, dead, t, chain + [t])
+        if got is not None:
+            return got
     dead.add(s)
     return None
+
+
+def _closed_extensions(line: list[list[int]], s: int, full: int) -> list[int]:
+    """Every solvable extension D of the nonempty closed state s with s + D
+    closed in ``full``, as masks sorted by size then indices.
+
+    By the lemma these are the sets need_s(d) on which need_s is constant
+    and which meet (III).  They are pairwise disjoint, so comparing their
+    indices compares their lowest members.  Membership is symmetric (e in
+    need_s(d) iff line[d][e] meets s iff d in need_s(e)), so a member e of
+    a failing need_s(d) is in no extension either: one would be need_s(e),
+    which holds d and so would have to equal need_s(d).
+    """
+    inside = _indices(s)
+    out = []
+    todo = full & ~s
+    while todo:
+        d = (todo & -todo).bit_length() - 1
+        dset = _need(line, inside, s, d)
+        todo &= ~dset
+        if dset != 1 << d:
+            members = _indices(dset)
+            if any(_need(line, inside, s, e) != dset for e in members if e != d):
+                continue
+            f = {(x, y): _f(line, s, x, y) for x, y in itertools.combinations(members, 2)}
+            if not all(
+                _solvable(line, f[x, y], f[x, z], f[y, z])
+                for x, y, z in itertools.combinations(members, 3)
+            ):
+                continue
+        out.append(dset)
+    out.sort(key=lambda m: (m.bit_count(), m & -m))
+    return out
+
+
+def _need(line: list[list[int]], inside: tuple[int, ...], s: int, d: int) -> int:
+    """need_s(d): d and every hyperplane outside s on a line through d and
+    a member of s, for s with members ``inside``."""
+    row = line[d]
+    m = 0
+    for x in inside:
+        m |= row[x]
+    return m & ~s
 
 
 def _exponent_product(exponents: list[int], upto: int) -> list[int]:

@@ -126,6 +126,8 @@ def test_subset_rank():
     assert arr.subset_rank([]) == 0
     with pytest.raises(InputError):
         arr.subset_rank([5])
+    with pytest.raises(InputError, match="index -1 out of range"):
+        arr.subset_rank([0, -1])
 
     arr7 = build(4, TWOGEN7)
     assert arr7.subset_rank([0, 1, 2, 3]) == 4
@@ -147,6 +149,13 @@ def forest_rank(graph, s):
         u, v = graph.edges[i]
         parent[find(u)] = find(v)
     return len(parent) - len({find(x) for x in parent})
+
+
+def test_is_dependent_rejects_out_of_range_indices():
+    arr = from_graph(K3)
+    for bad in (3, -1):
+        with pytest.raises(InputError, match=f"index {bad} out of range"):
+            arr.is_dependent([0, bad])
 
 
 def test_graphic_rank_matches_elimination():

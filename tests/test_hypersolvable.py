@@ -9,12 +9,14 @@ from pathlib import Path
 
 import pytest
 
-from hyparr.arrangement import build, from_graph
+from hyparr.arrangement import _indices, _mask, build, from_graph
 from hyparr.cli import _random_2generic_instances
 from hyparr.errors import InputError
 from hyparr.graphs import connected_graph_reps, is_chordal, make_graph
 from hyparr.hypersolvable import (
+    _closed_extensions,
     _solvable,
+    _unclosed,
     classify,
     composition_series,
     is_supersolvable,
@@ -107,6 +109,17 @@ def test_extension_validation():
         solvable_extension_check(arr, [])
     with pytest.raises(InputError):
         solvable_extension_check(arr, [0, 1, 2])
+    with pytest.raises(InputError):
+        solvable_extension_check(arr, [0, 1], within=[0, 1])
+
+
+def test_extension_check_rejects_out_of_range_indices():
+    arr = from_graph(K3)
+    for bad in (99, -2):
+        with pytest.raises(InputError, match=f"index {bad} out of range"):
+            solvable_extension_check(arr, [0], within=[0, bad])
+        with pytest.raises(InputError, match=f"index {bad} out of range"):
+            solvable_extension_check(arr, [bad])
 
 
 # ------------------------------------------------- composition series
@@ -173,14 +186,37 @@ def series_inputs():
         yield build(arr.ambient_dim, normals)
 
 
-def test_series_frozen_and_solvable_stepwise():
+def _search_recorded(monkeypatch, arr):
+    """The series of a fresh arrangement and the states ``_extend`` received."""
+    import hyparr.hypersolvable as hypersolvable
+
+    states = []
+    real = hypersolvable._extend
+
+    def recorded(*args):
+        states.append(args[3])
+        return real(*args)
+
+    monkeypatch.setattr(hypersolvable, "_extend", recorded)
+    series = composition_series(arr)
+    monkeypatch.undo()
+    return series, states
+
+
+@pytest.fixture(scope="module")
+def searched():
+    """(arrangement, series, states ``_extend`` received) per series input."""
+    with pytest.MonkeyPatch.context() as mp:
+        return [(arr, *_search_recorded(mp, arr)) for arr in series_inputs()]
+
+
+def test_series_frozen_and_solvable_stepwise(searched):
     # sha256 of the chains (None when no series) recorded with the
     # frozenset-keyed search; the first series found is the reported one,
     # so this pins the search order as well as the answer
     digest = hashlib.sha256()
     count = found = 0
-    for arr in series_inputs():
-        series = composition_series(arr)
+    for arr, series, _states in searched:
         chain = None if series is None else series.chain
         digest.update(json.dumps(chain).encode() + b"\n")
         count += 1
@@ -196,6 +232,102 @@ def test_series_frozen_and_solvable_stepwise():
     assert digest.hexdigest() == (
         "493cb5b5c0496dd8c72f37110cb2661a4cf44aeb6afb552552d22f9f050d3386"
     )
+
+
+def _grown_extensions(line, s, rest):
+    """The search's former route, kept as an oracle: every nonempty D in
+    ``rest`` meeting (II) and (III) over s.  Both conditions pass to
+    subsets, so D grows one hyperplane at a time."""
+    f = {}
+    for d, d2 in itertools.combinations(rest, 2):
+        hit = line[d][d2] & s
+        if hit:
+            f[d, d2] = hit.bit_length() - 1
+    stack = [((), rest)]
+    while stack:
+        dset, allowed = stack.pop()
+        for k, d in enumerate(allowed):
+            if all(
+                _solvable(line, f[x, y], f[x, d], f[y, d])
+                for x, y in itertools.combinations(dset, 2)
+            ):
+                yield dset + (d,)
+                stack.append((dset + (d,), [e for e in allowed[k + 1 :] if (d, e) in f]))
+
+
+def _closed_sets(line):
+    """Every nonempty mask t that no line through two of its members
+    leaves.  hull[t], the union of those lines, is hull[u] for u = t minus
+    its top member h, plus the lines through h and a member of u."""
+    hull = [0] * (1 << len(line))
+    for h, row in enumerate(line):
+        through = [0] * (1 << h)
+        for u in range(1, 1 << h):
+            through[u] = through[u & (u - 1)] | row[(u & -u).bit_length() - 1]
+        for u in range(1 << h):
+            hull[u | 1 << h] = hull[u] | through[u]
+    return [t for t in range(1, len(hull)) if not hull[t] & ~t]
+
+
+def _closed_across(line, across, t, dset):
+    """Whether no line through a member of ``dset`` and a member of t leaves
+    t; ``across[d]`` is the union of the lines through d and a member of s."""
+    return not any(
+        across[d] & ~t or any(line[d][e] & ~t for e in dset) for d in dset
+    )
+
+
+def test_closed_extensions_match_grown_and_brute_force(searched):
+    # on every state the search enters: the need-mask enumeration against
+    # the former route (every (II)/(III) set, then the closed ones), and for
+    # n <= 10 against every subset of the rest, checked by the public
+    # extension check and by closedness read off the line through each pair
+    states = brute = 0
+    for arr, _series, entered in searched:
+        line = arr.pair_closures()
+        full = (1 << arr.n) - 1
+        closed = _closed_sets(line) if arr.n <= 10 else None
+        for s in set(entered):
+            states += 1
+            assert _unclosed(line, s, full) is None
+            got = _closed_extensions(line, s, full)
+            rest = _indices(full & ~s)
+            # s is closed, so s + D is closed iff every line through a
+            # member of D and a member of s + D stays inside it
+            across = [0] * arr.n
+            for x in _indices(s):
+                for d, through in enumerate(line[x]):
+                    across[d] |= through
+            grown = sorted(
+                (dset for dset in _grown_extensions(line, s, rest)
+                 if _closed_across(line, across, s | _mask(dset), dset)),
+                key=lambda dset: (len(dset), dset),
+            )
+            assert got == [_mask(dset) for dset in grown], (arr.normals, _indices(s))
+            if closed is None:
+                continue
+            brute += 1
+            found = {
+                t & ~s for t in closed
+                if t & s == s and t != s
+                and solvable_extension_check(arr, _indices(s), within=_indices(t))[0]
+            }
+            assert set(got) == found, (arr.normals, _indices(s))
+    assert (states, brute) == (40_070, 6_606)
+
+
+def test_search_visits_only_closed_states(monkeypatch):
+    # the search lists closed children only: no state it enters is
+    # unclosed, and the calls fell from 1,488 (D4) and 16,063 (K7 minus the
+    # path 1-2-3-4-5, listed order) when every (II)/(III) child was entered
+    path = {(1, 2), (2, 3), (3, 4), (4, 5)}
+    k7p = make_graph(7, [(u, v) for u in range(7) for v in range(u + 1, 7)
+                         if (u + 1, v + 1) not in path])
+    for arr, calls in ((d4(), 192), (from_graph(k7p), 2_399)):
+        _series, states = _search_recorded(monkeypatch, arr)
+        assert len(states) == calls
+        full = (1 << arr.n) - 1
+        assert all(_unclosed(arr.pair_closures(), s, full) is None for s in states)
 
 
 def test_series_single_hyperplane():
