@@ -184,6 +184,9 @@ class Arrangement:
 
         Splits are int masks with the first element pinned to one half; after
         ``circuits(len(circuit))`` every dependence test is a table lookup.
+        A c with ``rest + c`` independent lies outside cl(C), since ``rest``
+        spans it; then no half plus c is dependent, as each half is
+        independent and spans less than cl(C), so c is skipped.
         """
         whole = _mask(circuit)
         first = whole & -whole
@@ -191,7 +194,7 @@ class Arrangement:
         dependent = self._dependent
         for c in range(self.n):
             bit = 1 << c
-            if whole & bit:
+            if whole & bit or not dependent(rest | bit):
                 continue
             # the submasks of rest other than rest itself, so both halves are nonempty
             sub = rest

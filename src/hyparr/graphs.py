@@ -42,10 +42,6 @@ class Graph:
                 raise InputError(f"multi-edge {e}")
             seen.add(e)
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
 
 def make_graph(vertex_count: int, edges) -> Graph:
     """Normalize edge pairs and sort them lexicographically."""

@@ -12,17 +12,34 @@ appropriate dependent sets, since e_c ^ delta(e_C) = +-e_C for c in C)
 together with e_S ^ delta(e_C) for S disjoint from C.  Each lattice is kept
 as an echelon basis whose pivot is the smallest column of its row:
 
-* FULL is written down directly, one unit-pivot row per q-set containing a
-  broken circuit (the broken circuits lead the Groebner basis {delta(e_C)}),
-  with no elimination; the row count is checked against the Whitney
-  numbers of the intersection lattice.
-* DECOMPOSABLE keeps every FULL row except the delta(e_C) with |C| = q+1,
-  and eliminates only on the coordinates of those rows.
+* FULL is one unit-pivot row per q-set containing a broken circuit (the
+  broken circuits lead the Groebner basis {delta(e_C)}), with no
+  elimination; the row count is checked against the Whitney numbers of
+  the intersection lattice.
+* DECOMPOSABLE keeps every FULL row except the delta(e_C) with |C| = q+1
+  (F0), and eliminates only M, the lattice of F0-coordinates of the
+  products e_S ^ delta(e_C) with S nonempty.
 * QUADRATIC is written from a degree-truncated Groebner basis of <I_2>
   over Q (``_abar_groebner``), one product e_M ^ g per q-set holding a
   lead.  When every lead is +-1, as on every input seen so far, the rows
   are unit-triangular and span Q^q exactly; otherwise the generators are
   eliminated.
+
+FULL and DECOMPOSABLE are known without rows.  FULL's rank is the count
+of pivots that the circuit walk claims.  Its basis is unit-triangular, so
+its invariant factors are 1, Lambda^q / I^q is free, and
+I^q / (Lambda+ I)^q = Z^F0 / M: DECOMPOSABLE has rank
+rank I^q - |F0| + rank M, and its invariant factors are ones, then M's
+above 1.  Ranks, Hilbert coefficients, the r-table and Aplus read
+only these; the rows are written when ``IdealLattice.hnf`` is first read
+(by mu, IND coordinates, membership, the span check).  M is built with two
+exact shortcuts, and only the FULL rows that its coordinates reach are
+written:
+
+* a product whose terms are all dependent monomials is skipped: those are
+  FULL rows outside F0, so its F0-coordinates are 0;
+* the walk stops once M has rank |F0| with unit pivots: M is then Z^F0,
+  and no later product changes it.
 
 Below the public API a q-set is an int mask; ``_columns(a, q)`` numbers
 the masks in the order of ``exterior.basis`` and dies with the arrangement.
@@ -30,7 +47,7 @@ the masks in the order of ``exterior.basis`` and dies with the arrangement.
 FULL and DECOMPOSABLE above the rank, and QUADRATIC where H(Abar)_q = 0,
 fill their degree and are marked saturated.  Every rank, torsion check,
 membership test and Hilbert coefficient but those of Abar reduces to
-these cached per-degree bases.
+these cached per-degree lattices.
 The generator stream behind ``ideal_generators`` is the QUADRATIC
 fallback and the spanning family the tests eliminate to check the direct
 constructions.
@@ -121,41 +138,63 @@ class IdealLattice:
     ``hnf is None`` marks a saturated lattice (all of Z^ncols), with no
     basis materialized: FULL and DECOMPOSABLE above the rank, where every
     monomial is dependent, and QUADRATIC where H(Abar)_q = 0.
+
+    FULL and DECOMPOSABLE up to the rank come from a row source that
+    knows the rank and invariant factors above 1 without rows, and FULL's
+    its pivot columns too (see the module docstring); ``hnf`` writes the
+    rows on first read and keeps them.  QUADRATIC comes with its rows.
     """
 
-    __slots__ = ("kind", "degree", "ncols", "hnf", "_divisors")
+    __slots__ = ("kind", "degree", "ncols", "_source", "_hnf", "_torsion")
 
-    def __init__(
-        self, kind: IdealKind, degree: int, ncols: int, hnf: SparseHermite | None
-    ):
+    def __init__(self, kind: IdealKind, degree: int, ncols: int, rows):
+        """``rows`` is a SparseHermite, a row source, or None when saturated."""
         self.kind = kind
         self.degree = degree
         self.ncols = ncols
-        self.hnf = hnf
-        self._divisors: list[int] | None = None
+        if rows is None or isinstance(rows, SparseHermite):
+            self._source, self._hnf, self._torsion = None, rows, None
+        else:
+            self._source, self._hnf, self._torsion = rows, None, rows.torsion
 
     @property
     def saturated(self) -> bool:
-        return self.hnf is None
+        return self._source is None and self._hnf is None
+
+    @property
+    def hnf(self) -> SparseHermite | None:
+        if self._hnf is None and self._source is not None:
+            self._hnf = self._source.write()
+        return self._hnf
 
     @property
     def rank(self) -> int:
-        return self.ncols if self.hnf is None else self.hnf.rank
+        if self._source is not None:
+            return self._source.rank
+        return self.ncols if self._hnf is None else self._hnf.rank
+
+    def pivot_columns(self):
+        """The pivot columns, as a set or a set-like view; FULL's need no rows."""
+        if self.kind is IdealKind.FULL and self._source is not None:
+            return self._source.pivot_columns()
+        return range(self.ncols) if self.saturated else self.hnf.pivots.keys()
+
+    def torsion(self) -> list[int]:
+        """The invariant factors above 1, in divisibility order."""
+        if self._torsion is None:
+            self._torsion = [] if self._hnf is None else [d for d in self._hnf.divisors() if d > 1]
+        return self._torsion
 
     def divisors(self) -> list[int]:
-        if self.hnf is None:
-            return [1] * self.ncols
-        if self._divisors is None:
-            self._divisors = self.hnf.divisors()
-        return self._divisors
+        torsion = self.torsion()
+        return [1] * (self.rank - len(torsion)) + torsion
 
     def contains(self, row) -> bool:
-        return True if self.hnf is None else self.hnf.contains(row)
+        return True if self.saturated else self.hnf.contains(row)
 
     def rank_over(self, field: FieldSpec) -> int:
-        if self.hnf is None or field.characteristic == 0:
-            return self.rank
-        return sum(1 for d in self.divisors() if d % field.characteristic)
+        p = field.characteristic
+        return self.rank - sum(1 for d in self.torsion() if p and not d % p)
 
 
 def _check_degree(a: Arrangement, q: int) -> None:
@@ -261,128 +300,197 @@ def _generator_stream(a: Arrangement, kind: IdealKind, q: int):
     yield from _spread_rows(a, kind, q)
 
 
-def _circuit_walk(a: Arrangement, q: int, claimed: set[int]):
-    """Every e_S ^ delta(e_C) of degree q with its smallest column.
+class _FullRows:
+    """I^q, q <= rank, as the circuit walk claims it.
 
-    Circuits come by size, then lexicographically; S runs lexicographically
-    over the (q+1-|C|)-sets outside C.  The smallest column is
-    T = S + C - max C, a broken circuit for the reversed order plus S: every
-    other term swaps a smaller element of C for max C.  Yields
-    ``(t, s, circ, first)``; ``first`` says t was not in ``claimed``,
-    which the walk updates, so the same product claims each column on
-    every walk that starts from the same set.  S and C are masks.
+    ``dependent``: the columns of the dependent q-sets, whose rows are e_T;
+    ``claims``: every other pivot T, in walk order, to the masks (S, C) of
+    its row e_S ^ delta(e_C).  Plain data only: a cached lattice that
+    referred to its arrangement would make a reference cycle.
+    """
+
+    __slots__ = ("degree", "col_of", "dependent", "claims")
+    torsion: list[int] = []
+
+    def __init__(self, degree: int, col_of: dict[int, int], dependent: set[int],
+                 claims: dict[int, tuple[int, int]]):
+        self.degree = degree
+        self.col_of = col_of
+        self.dependent = dependent
+        self.claims = claims
+
+    @property
+    def rank(self) -> int:
+        return len(self.dependent) + len(self.claims)
+
+    def pivot_columns(self) -> set[int]:
+        return self.dependent.union(self.claims)
+
+    def f0(self) -> set[int]:
+        """The pivots of the rows delta(e_C) with |C| = q+1: S is empty."""
+        return {t for t, (s, _) in self.claims.items() if not s}
+
+    def row(self, t: int) -> dict[int, int] | None:
+        """The basis row with pivot t, written now, or None if t is no pivot."""
+        claim = self.claims.get(t)
+        if claim is None:
+            return {t: 1} if t in self.dependent else None
+        row = _spread_row(*claim, self.col_of)
+        return row if row[t] > 0 else {k: -v for k, v in row.items()}
+
+    def write(self) -> SparseHermite:
+        h = SparseHermite()
+        h.pivots = {t: {t: 1} for t in sorted(self.dependent)}
+        for t in self.claims:
+            h.pivots[t] = self.row(t)
+        return h
+
+
+def _full_rows(a: Arrangement, q: int) -> _FullRows:
+    """Unit-triangular basis of the degree-q Orlik-Solomon ideal, q <= rank.
+
+    One row per q-set T containing a broken circuit: e_T when T is
+    dependent, otherwise the first e_S ^ delta(e_C) of the circuit walk
+    whose smallest column is T, signed so that its pivot is +1.  Circuits
+    come by size, then lexicographically; S runs lexicographically over
+    the (q+1-|C|)-sets outside C.  The smallest column is T = S + C - max C,
+    a broken circuit for the reversed order plus S: every other term swaps
+    a smaller element of C for max C.  The rows have unit pivots, so they
+    span a saturated lattice inside I^q; {delta(e_C)} is a Groebner basis
+    whose leading terms are the broken circuits (Bjorner 1982;
+    Bjorner-Ziegler 1991), so there are C(n, q) - b_q rows, the rank of
+    I^q, and the lattice is I^q itself.  The count is checked against the
+    Whitney numbers of the intersection lattice.
     """
     n = a.n
     col_of = _columns(a, q)
+    independent = a.independent_sets(q)
+    dependent = {col for tm, col in col_of.items() if tm not in independent}
+    claims: dict[int, tuple[int, int]] = {}
     for c in a.circuits(min(q + 1, n)):
         circ = _mask(c)
         broken = circ ^ 1 << c[-1]
         for s in _subsets(n, circ, q + 1 - len(c)):
             t = col_of[s | broken]
-            first = t not in claimed
-            if first:
-                claimed.add(t)
-            yield t, s, circ, first
-
-
-def _full_basis(a: Arrangement, q: int) -> SparseHermite:
-    """Unit-triangular basis of the degree-q Orlik-Solomon ideal, q <= rank.
-
-    One row per q-set T containing a broken circuit: e_T when T is
-    dependent, otherwise the first e_S ^ delta(e_C) of the circuit walk
-    whose smallest column is T, signed so that its pivot is +1.  The
-    rows have unit pivots, so they span a saturated lattice inside I^q;
-    {delta(e_C)} is a Groebner basis whose leading terms are the broken
-    circuits (Bjorner 1982; Bjorner-Ziegler 1991), so there are
-    C(n, q) - b_q rows, the rank of I^q, and the lattice is I^q itself.
-    The count is checked against the Whitney numbers of the intersection
-    lattice.
-    """
-    n = a.n
-    col_of = _columns(a, q)
-    h = SparseHermite()
-    pivots = h.pivots
-    for row in _unit_rows(a, IdealKind.FULL, q):
-        pivots[min(row)] = row
-    for t, s, circ, first in _circuit_walk(a, q, set(pivots)):
-        if first:
-            row = _spread_row(s, circ, col_of)
-            if row[t] < 0:
-                row = {k: -v for k, v in row.items()}
-            pivots[t] = row
+            if t not in claims and t not in dependent:
+                claims[t] = (s, circ)
+    full = _FullRows(q, col_of, dependent, claims)
     expected = comb(n, q) - a.betti_mobius()[q]
-    if h.rank != expected:
+    if full.rank != expected:
         raise InternalInvariantViolation(
-            f"broken-circuit basis of I^{q} has {h.rank} rows, "
+            f"broken-circuit basis of I^{q} has {full.rank} rows, "
             f"but C({n},{q}) - b_{q} = {expected}"
         )
-    return h
+    return full
 
 
-def _decomposable_basis(a: Arrangement, q: int, full: SparseHermite) -> SparseHermite:
+class _DecomposableRows:
+    """(Lambda+ I)^q read off M: I^q / (Lambda+ I)^q = Z^F0 / M.
+
+    The rows are the FULL rows b_t outside F0 plus sum m_t b_t for each
+    row m of M.
+    """
+
+    __slots__ = ("full", "f0", "m", "torsion")
+
+    def __init__(self, full: IdealLattice, f0: set[int], m: SparseHermite):
+        self.full = full
+        self.f0 = f0
+        self.m = m
+        self.torsion = [d for d in m.divisors() if d > 1]
+
+    @property
+    def rank(self) -> int:
+        return self.full.rank - len(self.f0) + self.m.rank
+
+    def write(self) -> SparseHermite:
+        fp = self.full.hnf.pivots
+        h = SparseHermite()
+        # the rows are shared with the full basis; no caller mutates lattice rows
+        h.pivots = {t: row for t, row in fp.items() if t not in self.f0}
+        for lead, mrow in self.m.pivots.items():
+            acc: dict[int, int] = {}
+            for t, v in mrow.items():
+                _row_submul(acc, fp[t], -v)
+            h.pivots[lead] = acc
+        return h
+
+
+def _decomposable_rows(a: Arrangement, q: int, full: IdealLattice) -> _DecomposableRows:
     """Echelon basis of (Lambda+ I)^q = Lambda^1 ^ I^(q-1), found inside I^q.
 
     Every row of the full basis lies in Lambda+ I except the rows
-    delta(e_C) with |C| = q+1 (F0, told apart by their q+1 terms):
-    monomials e_T are e_(T-C) ^ e_c ^ delta(e_C) up to sign.  Lambda+ I
-    in degree q is spanned by those rows and the products e_S ^ delta(e_C)
-    with S nonempty, so it is the span of the rows outside F0 plus the
-    combinations sum m_t b_t (t in F0) with m in the lattice M of
-    F0-coordinates of those products.  Only M, on |F0| columns, needs an
-    elimination.
+    delta(e_C) with |C| = q+1 (F0): monomials e_T are e_(T-C) ^ e_c ^
+    delta(e_C) up to sign.  Lambda+ I in degree q is spanned by those rows
+    and the products e_S ^ delta(e_C) with S nonempty, so it is the span
+    of the rows outside F0 plus the combinations sum m_t b_t (t in F0)
+    with m in the lattice M of F0-coordinates of those products.  Only M,
+    on |F0| columns, needs an elimination (``_f0_lattice``).
+    """
+    src = full._source
+    f0 = src.f0()
+    return _DecomposableRows(full, f0, _f0_lattice(a, q, src, f0))
+
+
+def _f0_lattice(a: Arrangement, q: int, full: _FullRows, f0: set[int]) -> SparseHermite:
+    """M, the lattice of F0-coordinates of the products e_S ^ delta(e_C), S nonempty.
 
     By the Leibniz rule e_S ^ delta(e_C) = +-delta(e_U) modulo monomials
     of dependent sets, U = S + C, so all products with the same U have
     the same F0-coordinates up to sign, and they vanish when one of them
-    is a row of the full basis.  One product per remaining U is reduced.
+    is a row of the full basis.  One product per remaining U is read, in
+    walk order, with the two shortcuts of the module docstring.
     """
-    fp = full.pivots
-    f0 = {t for t, row in fp.items() if len(row) == q + 1}
-    h = SparseHermite()
-    # the rows are shared with the full basis; no caller mutates lattice rows
-    h.pivots = {t: row for t, row in fp.items() if t not in f0}
-    if not f0:
-        return h
-    last = max(f0)
-    claimed = {t for t, row in fp.items() if len(row) == 1}
-    spans: dict[int, tuple[int, int]] = {}  # U -> one product e_S ^ delta(e_C)
-    in_basis: set[int] = set()
-    for _, s, circ, first in _circuit_walk(a, q, claimed):
-        if s:
-            u = s | circ
-            if first:
-                in_basis.add(u)
-            else:
-                spans.setdefault(u, (s, circ))
-    col_of = _columns(a, q)
     m = SparseHermite()
-    for u, (s, circ) in spans.items():
-        if u in in_basis:
-            continue
-        # coordinates in the full basis, kept only at F0; reduction fills
-        # only columns to the right, so it stops past the last F0 column
-        r = _spread_row(s, circ, col_of)
-        proj: dict[int, int] = {}
-        while r:
-            t = min(r)
-            if t > last:
-                break
-            piv = fp.get(t)
+    if not f0:
+        return m
+    n = a.n
+    independent = a.independent_sets(q)
+    in_basis = {s | circ for s, circ in full.claims.values() if s}
+    seen: set[int] = set()
+    last = max(f0)
+    rows: dict[int, dict[int, int]] = {}  # the FULL rows reached so far
+    for c in a.circuits(min(q, n)):
+        circ = _mask(c)
+        bits = [1 << i for i in c]
+        for s in _subsets(n, circ, q + 1 - len(c)):
+            u = s | circ
+            if u in in_basis or u in seen:
+                continue
+            seen.add(u)
+            if all(u ^ bit not in independent for bit in bits):
+                continue  # the terms e_(U-c) are all dependent monomials
+            proj = _f0_coordinates(s, circ, full, f0, last, rows)
+            if proj and m.insert(proj) and m.rank == len(f0) and m.all_unit_pivots():
+                return m
+    return m
+
+
+def _f0_coordinates(s: int, circ: int, full: _FullRows, f0: set[int], last: int,
+                    rows: dict[int, dict[int, int]]) -> dict[int, int]:
+    """The F0-coordinates of e_S ^ delta(e_C) in the FULL basis.
+
+    Reduction fills only columns to the right, so it stops past the last
+    F0 column; each FULL row it reaches is written once, into ``rows``.
+    """
+    r = _spread_row(s, circ, full.col_of)
+    proj: dict[int, int] = {}
+    while r:
+        t = min(r)
+        if t > last:
+            break
+        piv = rows.get(t)
+        if piv is None:
+            piv = full.row(t)
             if piv is None:
                 raise InternalInvariantViolation(
-                    f"e_S ^ delta(e_C) not in I^{q} (stuck at column {t})"
+                    f"e_S ^ delta(e_C) not in I^{full.degree} (stuck at column {t})"
                 )
-            if t in f0:
-                proj[t] = r[t]
-            _row_submul(r, piv, r[t])
-        if proj:
-            m.insert(proj)
-    for lead, mrow in m.pivots.items():
-        acc: dict[int, int] = {}
-        for t, v in mrow.items():
-            _row_submul(acc, fp[t], -v)
-        h.pivots[lead] = acc
-    return h
+            rows[t] = piv
+        if t in f0:
+            proj[t] = r[t]
+        _row_submul(r, piv, r[t])
+    return proj
 
 
 def _quadratic_basis(a: Arrangement, q: int) -> SparseHermite | None:
@@ -426,8 +534,7 @@ def _quadratic_basis(a: Arrangement, q: int) -> SparseHermite | None:
                     h.pivots[t] = {col_of[u]: sign * c for u, c in prod.items()}
                     break
     if q <= a.rank():
-        full = ideal_lattice(a, IdealKind.FULL, q).hnf
-        if not h.pivots.keys() <= full.pivots.keys():
+        if not h.pivots.keys() <= ideal_lattice(a, IdealKind.FULL, q).pivot_columns():
             raise InternalInvariantViolation(
                 f"quadratic ideal in degree {q} has a pivot that I^{q} lacks, but Q lies in I"
             )
@@ -441,14 +548,14 @@ def ideal_lattice(a: Arrangement, kind: IdealKind, q: int) -> IdealLattice:
     ncols = comb(a.n, q)
     if kind is not IdealKind.QUADRATIC and a.rank() < q:
         # every q-subset is dependent, so the monomials already fill Z^ncols
-        h = None
+        rows = None
     elif kind is IdealKind.FULL:
-        h = _full_basis(a, q)
+        rows = _full_rows(a, q)
     elif kind is IdealKind.DECOMPOSABLE:
-        h = _decomposable_basis(a, q, ideal_lattice(a, IdealKind.FULL, q).hnf)
+        rows = _decomposable_rows(a, q, ideal_lattice(a, IdealKind.FULL, q))
     else:
-        h = _quadratic_basis(a, q)
-    return IdealLattice(kind, q, ncols, h)
+        rows = _quadratic_basis(a, q)
+    return IdealLattice(kind, q, ncols, rows)
 
 
 def _times(m: int, g: dict[int, int]) -> dict[int, int]:

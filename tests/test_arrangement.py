@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from hyparr.arrangement import build, from_graph
+from hyparr.arrangement import _indices, build, from_graph
 from hyparr.cli import _random_2generic_instances, parse_input
 from hyparr.errors import InputError
 from hyparr.graphs import chromatic_polynomial, connected_graph_reps, make_graph
@@ -529,6 +529,41 @@ def test_chordless_circuits_match_split_scan():
         for size in range(3, min(arr.n, arr.rank() + 1) + 1):
             expect = chordless_by_split_scan(arr, size)
             assert build(arr.ambient_dim, arr.normals).chordless_circuits(size) == expect
+
+
+def test_has_chord_skip_matches_the_split_loop():
+    # has_chord skips every c with rest + c independent, as such a c lies
+    # outside cl(C); the loop over every split of every c must agree
+    from hyparr.arrangement import _mask
+
+    def split_loop(arr, circ):
+        whole = _mask(circ)
+        first = whole & -whole
+        rest = whole ^ first
+        for c in range(arr.n):
+            bit = 1 << c
+            if whole & bit:
+                continue
+            sub = rest
+            while sub:
+                sub = (sub - 1) & rest
+                half = first | sub
+                if arr.is_dependent(_indices(half | bit)) and arr.is_dependent(
+                        _indices((whole ^ half) | bit)):
+                    return True
+        return False
+
+    inputs = [from_graph(g) for g in connected_graph_reps(6)]
+    inputs += [parse_input(str(p)) for p in sorted(FIXTURES.iterdir())]
+    gen = random.Random(1935)
+    inputs += [small_entries(gen, gen.choice((3, 4, 5)), gen.randint(4, 10)) for _ in range(40)]
+    counts = [0, 0]
+    for arr in inputs:
+        for circ in arr.circuits(min(arr.n, arr.rank() + 1)):
+            expect = split_loop(arr, circ)
+            assert arr.has_chord(circ) == expect, (arr.normals, circ)
+            counts[expect] += 1
+    assert min(counts) >= 100, counts
 
 
 def small_entries(gen, dim, draws):

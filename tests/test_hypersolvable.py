@@ -454,7 +454,12 @@ def test_classify_leaves_no_cyclic_garbage():
         cls = classify(arr)
         assert cls.series is not None
         assert arr.intersection_lattice().has_modular_chain() == cls.supersolvable
-        del arr, cls
+        # the lazy ideal lattices keep plain data, read or not
+        for q in range(arr.rank() + 1):
+            lat = ideal_lattice(arr, IdealKind.DECOMPOSABLE, q)
+            if q % 2:
+                lat.hnf
+        del arr, cls, lat
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -464,7 +464,9 @@ def test_lattices_leave_no_process_lifetime_tables():
     def lattices(k):
         arr = from_graph(make_graph(k, list(itertools.combinations(range(k), 2))))
         for q in range(arr.rank() + 1):
-            ideal_lattice(arr, IdealKind.DECOMPOSABLE, q)
+            lat = ideal_lattice(arr, IdealKind.DECOMPOSABLE, q)
+            if q % 2:
+                lat.hnf  # written rows, and in the other degrees lazy lattices
 
     lattices(3)  # first-call allocations that any process keeps
     gc.collect()
@@ -486,6 +488,8 @@ def test_direct_full_and_decomposable_match_elimination():
             for kind in (IdealKind.FULL, IdealKind.DECOMPOSABLE):
                 lat = ideal_lattice(arr, kind, q)
                 oracle = elimination_oracle(arr, kind, q)
+                if kind is IdealKind.FULL:  # the claimed pivots are the written ones
+                    assert lat.pivot_columns() == lat.hnf.pivots.keys(), (arr.normals, q)
                 assert lat.rank == oracle.rank, (arr.normals, kind, q)
                 assert sorted(lat.divisors()) == sorted(oracle.divisors())
                 assert all(oracle.contains(row) for row in lat.hnf.rows_sorted())
@@ -498,6 +502,93 @@ def test_direct_full_and_decomposable_match_elimination():
             m_seen += any(t in f0 for t in dec.pivots)
     # both the delta(e_C) rows outside Lambda+ I and the eliminated part occur
     assert f0_seen >= 20 and m_seen >= 20
+
+
+def test_decomposable_divisors_read_off_m_match_its_rows(monkeypatch):
+    # the divisors come from M alone; the Smith form of the written rows
+    # must agree on a mutant whose M has its F0 coordinates doubled: no
+    # input has IND torsion, so only a mutant reaches the torsion branch.
+    # On the unmutated corpus the elimination test above compares them
+    import hyparr.osalgebra as osalgebra
+    from hyparr.intlinalg import snf_divisors
+
+    real = osalgebra._f0_coordinates
+    monkeypatch.setattr(osalgebra, "_f0_coordinates",
+                        lambda *args: {t: 2 * v for t, v in real(*args).items()})
+    torsion = 0
+    for arr in itertools.islice(direct_construction_inputs(), 286, None):  # past the graphs
+        for q in range(2, arr.rank() + 1):
+            lat = ideal_lattice(arr, IdealKind.DECOMPOSABLE, q)
+            assert lat.divisors() == snf_divisors(lat.hnf.rows_sorted()), (arr.normals, q)
+            # IND reads the same rows in FULL coordinates, independently of M
+            ind = quotient_invariants_graded(arr, "IND", q)
+            assert ind.torsion_factors == tuple(lat.torsion()), (arr.normals, q)
+            assert lat.rank_over(FieldSpec(2)) == lat.rank - len(lat.torsion())
+            torsion += bool(lat.torsion())
+    assert torsion >= 20, torsion
+
+
+def test_full_rows_are_written_only_where_read(monkeypatch, tmp_path):
+    # a non-qualifying analyze reads FULL and DECOMPOSABLE for ranks and
+    # divisors alone: no FULL lattice writes its rows, and building M
+    # writes single FULL rows only in degrees where F0 is not empty
+    import hyparr.osalgebra as osalgebra
+    from hyparr.cli import main, parse_input
+
+    path = {(1, 2), (2, 3), (3, 4), (4, 5)}
+    graphs = {
+        "k6.graph": (6, itertools.combinations(range(1, 7), 2)),
+        "k7-minus-path.graph": (7, (e for e in itertools.combinations(range(1, 8), 2) if e not in path)),
+    }
+    written, wholesale, hit = [], [], 0
+    real_row = osalgebra._FullRows.row
+
+    def row(self, t):
+        written.append(self.degree)
+        return real_row(self, t)
+
+    for name, (k, edges) in graphs.items():
+        src = tmp_path / name
+        src.write_text(f"graph {k}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+        arr = parse_input(str(src))
+        f0_degrees = set()
+        for q in range(arr.rank() + 1):
+            full = ideal_lattice(arr, IdealKind.FULL, q).hnf
+            if any(len(row) == q + 1 for row in full.pivots.values()):
+                f0_degrees.add(q)
+        assert f0_degrees and f0_degrees != set(range(2, arr.rank() + 1)), (name, f0_degrees)
+        with monkeypatch.context() as m:
+            m.setattr(osalgebra._FullRows, "row", row)
+            m.setattr(osalgebra._FullRows, "write", lambda self: wholesale.append(self.degree))
+            written.clear()
+            assert main(["analyze", "--input", str(src), "--json", str(tmp_path / "out.json")]) == 2
+        assert wholesale == [], name
+        assert set(written) <= f0_degrees, (name, sorted(set(written)), f0_degrees)
+        hit += bool(written)
+    assert hit  # K6 has F0 only in degree 2, where no product has S nonempty
+
+
+def test_m_reduces_only_the_products_that_can_change_it(monkeypatch):
+    # B4 in degree 4: 2,887 products are left once those that are FULL rows
+    # are dropped, and M is Z^F0 after the 859th; 385 of those 859 have only
+    # dependent terms, so 474 are reduced.  Without the stop 2,323 would be
+    # reduced, and without the dependent-term skip 859
+    import hyparr.osalgebra as osalgebra
+
+    real = osalgebra._f0_coordinates
+    found = []
+
+    def counted(*args):
+        proj = real(*args)
+        found.append(bool(proj))
+        return proj
+
+    monkeypatch.setattr(osalgebra, "_f0_coordinates", counted)
+    arr = coxeter_b(4)
+    full = ideal_lattice(arr, IdealKind.FULL, 4)
+    dec = ideal_lattice(arr, IdealKind.DECOMPOSABLE, 4)
+    assert 0 < len(found) < 859 and any(found), len(found)
+    assert dec.rank == full.rank  # M = Z^F0: degree 4 has no indecomposables
 
 
 def test_direct_quadratic_matches_elimination():
