@@ -20,7 +20,7 @@ from .arrangement import Arrangement, _proportional, build, from_graph
 from .errors import InputError, InternalInvariantViolation, PreconditionError
 from .graphs import Graph, _keyed_connected_graph_reps, make_graph
 from .homotopy import mu_presentation
-from .hypersolvable import classify
+from .hypersolvable import classify, composition_series
 from .intlinalg import FieldSpec
 from .report import (
     build_report,
@@ -212,8 +212,6 @@ def _graphic_worker(payload: tuple[int, int, tuple]) -> str | None:
     # cheap filter first: hypersolvable iff a series exists, and within that
     # class supersolvable iff the series length equals the rank; the full
     # classification with all its cross-checks runs only on the keepers
-    from .hypersolvable import composition_series
-
     series = composition_series(arr)
     if series is None or series.length == arr.rank():
         return None

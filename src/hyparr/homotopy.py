@@ -26,7 +26,10 @@ ways (mu divisors, the decomposable quotient in degree p+2, the
 indecomposable relations in degree p+2) and insists they agree, and checks
 the closed rank formula n*gr0 - rank(mu) against the Hilbert-data
 expression; for graphic arrangements the chordless-circuit count gives a
-fourth, combinatorial route.
+fourth, combinatorial route.  The expression reads H(A) as the Whitney
+numbers, H(Abar) off the Groebner basis and r_{p+2} as the free rank of
+IND_{p+2}, so a line builds FULL and QUADRATIC lattices only in degrees
+p+1 and p+2, and DECOMPOSABLE only in p+2.
 """
 
 from __future__ import annotations
@@ -254,7 +257,7 @@ def torsion_and_rank_report(a: Arrangement) -> tuple[TorsionReport, dict]:
 
     ha = hilbert(a, "A", RATIONALS).coefficients
     habar = hilbert(a, "Abar", RATIONALS).coefficients
-    r_p2 = hilbert(a, "IND", RATIONALS).coefficients[d2]
+    r_p2 = ind.free_rank
     gr0 = gr0_rank(a)
     corollary_rank = n * (habar[p + 1] - ha[p + 1]) - (habar[d2] - ha[d2]) + r_p2
     mu_rank = len(_mu_divisors(a))

@@ -52,13 +52,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
 from typing import Optional
 
 from .arrangement import Arrangement, _indices, memo
 from .errors import InputError, InternalInvariantViolation
 from .intlinalg import RATIONALS
-from .osalgebra import IdealKind, hilbert, ideal_lattice
+from .osalgebra import hilbert
 
 
 @dataclass
@@ -257,20 +256,17 @@ def _exponent_product(exponents: list[int], upto: int) -> list[int]:
 def p_order(a: Arrangement) -> Optional[int]:
     """Largest s with rank A^t = rank Abar^t for all t <= s; None if all agree.
 
-    rank A^t comes from the FULL lattice and rank Abar^t from the Groebner
-    basis series ``hilbert(a, "Abar", Q)``; no QUADRATIC lattice is built.
-    Both quotients are generated in degree 1, so once both vanish in one
-    degree they vanish in all higher ones and the scan can stop.  The
-    homotopy reading requires a hypersolvable arrangement; the raw sup is
-    computed regardless and flagged by classify().
+    rank A^t is the Whitney number b_t (``hilbert(a, "A", Q)``) and rank
+    Abar^t comes from the Groebner basis series ``hilbert(a, "Abar", Q)``;
+    no ideal lattice is built.  The homotopy reading requires a
+    hypersolvable arrangement; the raw sup is computed regardless and
+    flagged by classify().
     """
+    ha = hilbert(a, "A", RATIONALS).coefficients
     habar = hilbert(a, "Abar", RATIONALS).coefficients
-    for t in range(a.n + 1):
-        ca = comb(a.n, t) - ideal_lattice(a, IdealKind.FULL, t).rank
-        if ca != habar[t]:
+    for t, (ca, cabar) in enumerate(zip(ha, habar)):
+        if ca != cabar:
             return t - 1
-        if t >= 1 and ca == 0:
-            return None
     return None
 
 

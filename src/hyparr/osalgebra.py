@@ -46,8 +46,8 @@ the masks in the order of ``exterior.basis`` and dies with the arrangement.
 
 FULL and DECOMPOSABLE above the rank, and QUADRATIC where H(Abar)_q = 0,
 fill their degree and are marked saturated.  Every rank, torsion check,
-membership test and Hilbert coefficient but those of Abar reduces to
-these cached per-degree lattices.
+membership test and Hilbert coefficient but those of A (the Whitney
+numbers) and Abar reduces to these cached per-degree lattices.
 The generator stream behind ``ideal_generators`` is the QUADRATIC
 fallback and the spanning family the tests eliminate to check the direct
 constructions.
@@ -726,18 +726,24 @@ def ideal_generators(a: Arrangement, kind: IdealKind, q: int) -> GradedIdealPres
 def hilbert(a: Arrangement, quotient: str, field: FieldSpec) -> HilbertData:
     """Hilbert coefficients of the chosen quotient in degrees 0..n.
 
-    Abar is read off the Groebner basis of <I_2> (``_abar_groebner``), with
-    no QUADRATIC lattice; over F_p only if every lead is +-1, which makes
-    Lambda^q / Q^q free of rank H(Abar)_q.  The other quotients, and Abar
-    over F_p otherwise, come from the lattices' Smith divisors.  The
-    algebra quotients are generated in degree 1, so once a coefficient
-    vanishes all higher ones do; the indecomposables vanish above the rank
-    because both ideals fill their degree there.  Both facts keep the big
-    upper degrees free.
+    A is the Whitney numbers b_q over every field, with no lattice: the
+    FULL basis is unit-triangular, so Lambda^q / I^q is free of rank
+    C(n, q) - b_q (Orlik-Solomon 1980), the count ``_full_rows`` checks
+    wherever a FULL lattice is built.  Abar is read off the Groebner basis
+    of <I_2> (``_abar_groebner``), with no QUADRATIC lattice; over F_p only
+    if every lead is +-1, which makes Lambda^q / Q^q free of rank
+    H(Abar)_q.  The other quotients, and Abar over F_p otherwise, come from
+    the lattices' Smith divisors.  The algebra quotients are generated in
+    degree 1, so once a coefficient vanishes all higher ones do; the
+    indecomposables vanish above the rank because both ideals fill their
+    degree there.  Both facts keep the big upper degrees free.
     """
     if quotient not in QUOTIENTS:
         raise InputError(f"unknown quotient {quotient!r}, expected one of {QUOTIENTS}")
     n = a.n
+    if quotient == "A":
+        betti = a.betti_mobius()
+        return HilbertData(quotient, field, tuple(betti + [0] * (n + 1 - len(betti))))
     if quotient == "Abar":
         series, basis = _abar_groebner(a)
         if not field.characteristic or _unit_leads(basis):
@@ -840,26 +846,19 @@ def chordless_span_check(a: Arrangement, q: int, field: FieldSpec) -> SpanCheckR
     _check_degree(a, q)
     chordless = a.chordless_circuits(q + 1) if q + 1 >= 3 and q + 1 <= a.n else []
     if q > a.rank():
-        # the target (I / Lambda+ I)^q is the zero group
-        return SpanCheckReport(
-            degree=q,
-            field=field,
-            onto=True,
-            span_dim=0,
-            target_dim=0,
-            chordless_count=len(chordless),
-            bijective=not chordless,
-            graphic=a.source_graph is not None,
-        )
-    full = ideal_lattice(a, IdealKind.FULL, q)
-    dec = ideal_lattice(a, IdealKind.DECOMPOSABLE, q)
-    combined = dec.hnf.copy()
-    col_of = _columns(a, q)
-    for circ in chordless:
-        combined.insert(_spread_row(0, _mask(circ), col_of))  # delta(e_C)
-    spanned = IdealLattice(dec.kind, q, dec.ncols, combined)
-    span_dim = spanned.rank_over(field) - dec.rank_over(field)
-    target_dim = full.rank_over(field) - dec.rank_over(field)
+        # the target (I / Lambda+ I)^q is the zero group, and a circuit has
+        # at most rank + 1 members, so there is no chordless one either
+        span_dim = target_dim = 0
+    else:
+        full = ideal_lattice(a, IdealKind.FULL, q)
+        dec = ideal_lattice(a, IdealKind.DECOMPOSABLE, q)
+        combined = dec.hnf.copy()
+        col_of = _columns(a, q)
+        for circ in chordless:
+            combined.insert(_spread_row(0, _mask(circ), col_of))  # delta(e_C)
+        spanned = IdealLattice(dec.kind, q, dec.ncols, combined)
+        span_dim = spanned.rank_over(field) - dec.rank_over(field)
+        target_dim = full.rank_over(field) - dec.rank_over(field)
     onto = span_dim == target_dim
     return SpanCheckReport(
         degree=q,

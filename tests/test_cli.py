@@ -88,7 +88,33 @@ def test_parse_missing_file():
         parse_input("/nonexistent/file.arr")
 
 
+@pytest.mark.parametrize("name, text, message", [
+    ("empty.arr", "# nothing here\n\n", ": no content"),
+    ("head.arr", "arrangements 2\n1 0\n", ":1: header must be 'arrangement <dim>' or 'graph <n>'"),
+    ("size.arr", "\narrangement two\n1 0\n", ":2: bad size 'two'"),
+    ("entry.arr", "arrangement 2\n1 0\n1 x\n", ":3: non-integer entry"),
+    ("pair.graph", "graph 3\n1 2 3\n", ":2: expected 'u v'"),
+    ("vertex.graph", "graph 3\n1 2\n2 c\n", ":3: non-integer vertex"),
+    ("range.graph", "graph 3\n1 2\n# next\n3 2\n", ":4: edge 3 2 is not 1 <= u < v <= 3"),
+])
+def test_parse_errors_exit1_naming_the_line(capsys, tmp_path, name, text, message):
+    path = write(tmp_path, name, text)
+    assert main(["analyze", "--input", path]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {path}{message}\n", err
+
+
 # ---------------------------------------------------------------- analyze
+
+
+def test_analyze_without_json_prints_the_text_report(capsys):
+    from hyparr.hypersolvable import classify
+    from hyparr.report import build_report, render_text
+
+    assert main(["analyze", "--input", str(FIXTURES / "theta6.graph")]) == 0
+    out = capsys.readouterr().out
+    arr = parse_input(str(FIXTURES / "theta6.graph"))
+    assert out == render_text(build_report(arr, classify(arr))[0])
 
 
 def test_analyze_theta_exit0(tmp_path, capsys):

@@ -404,3 +404,53 @@ def test_quadratic_bases_are_built_only_where_read(monkeypatch, tmp_path):
         else:
             assert built == [], name
     assert qualifying >= 3
+
+
+
+def test_a_search_line_builds_lattices_only_in_degrees_p1_and_p2(monkeypatch):
+    # classify reads H(A) off the Whitney numbers and H(Abar) off the
+    # Groebner basis, so it builds no lattice; a search line's homotopy
+    # fields read FULL and QUADRATIC in degrees p+1 and p+2 and DECOMPOSABLE
+    # in p+2 (FULL and DECOMPOSABLE up to the rank only, as they fill their
+    # degree above it); analyze's r-table still reads every degree
+    import hyparr.osalgebra as osalgebra
+    from hyparr.report import build_report, homotopy_fields
+
+    built: dict[str, list[int]] = {}
+    for name in ("_full_rows", "_decomposable_rows", "_quadratic_basis"):
+        def counted(a, q, *rest, real=getattr(osalgebra, name), name=name):
+            built[name].append(q)
+            return real(a, q, *rest)
+
+        monkeypatch.setattr(osalgebra, name, counted)
+        built[name] = []
+
+    def degrees(name):
+        got = sorted(built[name])
+        built[name].clear()
+        return got
+
+    makers = [lambda f=f: parse_input(str(FIXTURES / f))
+              for f in ("theta6.graph", "twogen6.arr", "twogen7.arr")]
+    makers += [lambda dim=dim, normals=normals: build(dim, normals)
+               for _key, dim, normals in _random_2generic_instances(0, 12, 8)]
+    top = 0
+    for make in makers:
+        arr = make()  # a fresh arrangement: nothing cached
+        cls = classify(arr)
+        assert not any(built.values()), (arr.normals, built)
+        assert cls.hypersolvable and not cls.supersolvable, arr.normals
+        p, r = cls.p, cls.r
+        homotopy_fields(arr)
+        assert degrees("_full_rows") == [q for q in (p + 1, p + 2) if q <= r], arr.normals
+        assert degrees("_decomposable_rows") == [q for q in (p + 2,) if q <= r], arr.normals
+        assert degrees("_quadratic_basis") == [p + 1, p + 2], arr.normals
+        top += p + 2 > r
+
+        arr = make()
+        build_report(arr, classify(arr))
+        assert degrees("_full_rows") == list(range(r + 1)), arr.normals
+        assert degrees("_decomposable_rows") == list(range(r + 1)), arr.normals
+        degrees("_quadratic_basis")
+    # lines with p+2 at most the rank, and lines with p+2 above it
+    assert 0 < top < len(makers), top

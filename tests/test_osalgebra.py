@@ -19,8 +19,11 @@ from hyparr.intlinalg import AbelianInvariants, FieldSpec, RATIONALS, SparseHerm
 from hyparr.osalgebra import (
     IdealKind,
     IdealLattice,
+    SpanCheckReport,
     _columns,
+    _eliminate,
     _generator_stream,
+    _reduce,
     _spread_row,
     chordless_span_check,
     hilbert,
@@ -110,12 +113,16 @@ def test_hilbert_unknown_quotient():
 
 
 def test_hilbert_matches_betti_all_fields():
+    # hilbert reads H(A) off the Whitney numbers; the FULL lattices, from
+    # the circuit walk, must leave quotients of the same rank over every field
     for arr in (boolean(3), from_graph(K3), from_graph(THETA), build(4, TWOGEN6)):
         betti = arr.betti_mobius()
+        betti += [0] * (arr.n + 1 - len(betti))
         for f in FIELDS:
-            coeffs = hilbert(arr, "A", f).coefficients
-            assert list(coeffs[: len(betti)]) == betti
-            assert all(c == 0 for c in coeffs[len(betti):])
+            assert list(hilbert(arr, "A", f).coefficients) == betti
+            walk = [comb(arr.n, q) - ideal_lattice(arr, IdealKind.FULL, q).rank_over(f)
+                    for q in range(arr.n + 1)]
+            assert walk == betti, (arr.normals, f)
 
 
 def test_aplus_decomposes_as_a_plus_ind():
@@ -246,6 +253,14 @@ def test_chordless_span_onto():
             for f in (RATIONALS, FieldSpec(2)):
                 rep = chordless_span_check(arr, q, f)
                 assert rep.onto, (arr, q, f)
+
+
+@pytest.mark.parametrize("field", [RATIONALS, FieldSpec(2)])
+def test_chordless_span_above_the_rank(field):
+    # K4 has rank 3: in degree 4 the target is zero and no circuit has 5 members
+    rep = chordless_span_check(from_graph(make_graph(4, itertools.combinations(range(4), 2))), 4, field)
+    assert rep == SpanCheckReport(degree=4, field=field, onto=True, span_dim=0, target_dim=0,
+                                  chordless_count=0, bijective=True, graphic=True)
 
 
 def test_chordless_span_theta_bijective():
@@ -653,6 +668,45 @@ def test_quadratic_falls_back_to_elimination_on_a_non_unit_lead(monkeypatch):
         assert sorted(lat.divisors()) == sorted(oracle.divisors())
         assert all(oracle.contains(row) for row in lat.hnf.rows_sorted())
         assert all(lat.contains(row) for row in oracle.rows_sorted())
+
+
+def test_eliminate_and_reduce_at_a_non_unit_lead():
+    # no Groebner lead seen so far is a non-unit, so only a hand-built case
+    # reaches the scaling of f, the f[m] // x step and the content removal.
+    # Masks are monomials, bit i for e_i; the lead of a polynomial is its
+    # largest mask
+    from math import gcd
+
+    from hyparr.exterior import ExteriorElement
+
+    def element(f):
+        (deg,) = {m.bit_count() for m in f}
+        return ExteriorElement(deg, {tuple(i for i in range(4) if m >> i & 1): c
+                                     for m, c in f.items()})
+
+    lead = 0b0110
+    g = {lead: 3, 0b0011: 1, 0b0101: -2}  # 3 e_12 + e_01 - 2 e_02
+    f = {0b1110: 2, 0b1011: 2, 0b0111: 2}  # 2 e_123 + 2 e_013 + 2 e_012
+    m, rest = 0b1110, 0b1000
+    rest_g = wedge(generator(3), element(g))
+    x = rest_g.terms[(1, 2, 3)]  # e_3 ^ e_12 = e_123: x = 3, not a unit
+    assert x == 3
+    want = element(f).scale(x) - rest_g.scale(f[m])
+    content = gcd(*want.terms.values())
+    assert content == 2  # the content removal is reached
+    want = ExteriorElement(want.degree, {t: c // content for t, c in want.terms.items()})
+
+    out = dict(f)
+    _eliminate(out, m, lead, g)
+    assert m not in out
+    assert element(out) == want
+    # top reduction stops at e_023 (0b1101), which lead 0b0110 does not
+    # divide, though a lower term, e_012 (0b0111), is still a multiple of it
+    assert max(out) == 0b1101 and 0b0111 in out
+    reduced = _reduce(dict(f), [(lead, g)])
+    assert reduced == out
+    untouched = {0b1001: 1, 0b0110: 5}
+    assert _reduce(dict(untouched), [(lead, g)]) == untouched
 
 
 def groebner_inputs():
