@@ -25,7 +25,7 @@ for g in connected_graph_reps(6):
 print(f"graphic sweep: {checked} qualifying graphs on <= 6 vertices, "
       "all torsion-free" if checked else "none qualified")
 print()
-print("The CLI drives bigger, resumable versions of the same sweep:")
+print("The CLI drives bigger versions of the same sweep:")
 print("  hyparr search --family graphic --max-size 7 --output graphic7.jsonl")
 print("  hyparr search --family random2g --max-size 12 --seed 1 "
       "--count 100 --output random.jsonl")

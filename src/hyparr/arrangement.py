@@ -17,7 +17,6 @@ remember their source graph for reporting.
 
 from __future__ import annotations
 
-import itertools
 from functools import cached_property, wraps
 from math import gcd
 from typing import Iterable, Optional, Sequence
@@ -51,11 +50,19 @@ class Arrangement:
             if not any(vec):
                 raise InputError.about_hyperplanes(": zero normal vector", idx)
             norm.append(vec)
-        for i, j in itertools.combinations(range(len(norm)), 2):
-            if _proportional(norm[i], norm[j]):
-                raise InputError.about_hyperplanes(
-                    f" are proportional: {norm[i]} ~ {norm[j]}", i, j
-                )
+        # atoms: the normals divided by their content, first nonzero entry
+        # positive, so equal exactly when proportional; each hyperplane is
+        # paired with the first sharing its atom, and the error names the
+        # lexicographically first pair
+        self._atoms = tuple(_primitive(v) for v in norm)
+        first: dict[Vector, int] = {}
+        pairs = [(first.setdefault(a, j), j) for j, a in enumerate(self._atoms)]
+        repeats = [(i, j) for i, j in pairs if i < j]
+        if repeats:
+            i, j = min(repeats)
+            raise InputError.about_hyperplanes(
+                f" are proportional: {norm[i]} ~ {norm[j]}", i, j
+            )
         self.ambient_dim = ambient_dim
         self.normals = tuple(norm)
         if labels is None:
@@ -105,11 +112,6 @@ class Arrangement:
     @cached_property
     def _full_rank(self) -> int:
         return rank_over_field(self.normals, RATIONALS)
-
-    @cached_property
-    def _atoms(self) -> tuple[Vector, ...]:
-        """The normals divided by their content, first nonzero entry positive."""
-        return tuple(_primitive(v) for v in self.normals)
 
     def is_dependent(self, s: Iterable[int]) -> bool:
         return self._dependent(self._checked_mask(s))
@@ -315,13 +317,6 @@ def _reduce(v: Vector, p: Vector, k: int) -> Vector | None:
     w = [a * x - c * y for x, y in zip(v, p)]
     del w[k]
     return _primitive(w)
-
-
-def _proportional(a: Sequence[int], b: Sequence[int]) -> bool:
-    k = next(i for i, x in enumerate(a) if x)
-    if not b[k]:
-        return False
-    return all(a[k] * y == b[k] * x for x, y in zip(a, b))
 
 
 def from_graph(g: Graph) -> Arrangement:

@@ -16,7 +16,7 @@ import time
 from pathlib import Path
 from random import Random
 
-from .arrangement import Arrangement, _proportional, build, from_graph
+from .arrangement import Arrangement, _primitive, build, from_graph
 from .errors import InputError, InternalInvariantViolation, PreconditionError
 from .graphs import Graph, _keyed_connected_graph_reps, make_graph
 from .homotopy import mu_presentation
@@ -28,6 +28,7 @@ from .report import (
     classification_block,
     emit_report,
     homotopy_fields,
+    input_echo,
     render_text,
 )
 
@@ -35,8 +36,9 @@ GRAPHIC_VERTEX_BOUND = 8
 RANDOM_SIZE_BOUND = 12
 RANDOM_DIM_BOUND = 6
 # hyperplanes; admits K7 (21) and every fixture.  It limits n only: the
-# cost also grows with the rank (24 general lines in the plane, rank 3, take
-# ~2.4 s and ~56 MiB; high-rank inputs of this size are unmeasured)
+# cost also grows with the rank.  24 general lines in the plane (rank 3)
+# take ~2.4 s and ~56 MiB; random rank-6 inputs (README) take ~18 s and
+# ~82 MiB at n = 20, and at n = 24 do not finish within 300 s
 ANALYZE_SIZE_BOUND = 24
 
 
@@ -192,10 +194,11 @@ def cmd_circuits(args) -> int:
     return 0
 
 
-def _instance_line(key: str, arr: Arrangement, echo: dict) -> dict:
+def _instance_line(key: str, arr: Arrangement) -> dict:
     cls = classify(arr)
     line: dict = {"key": key, "classification": classification_block(cls)}
-    line.update(echo)
+    line.update(input_echo(arr))
+    del line["format"], line["labels"]
     qualified = cls.hypersolvable and not cls.supersolvable
     line["qualifies"] = qualified
     if qualified:
@@ -216,21 +219,13 @@ def _graphic_worker(payload: tuple[int, int, tuple]) -> str | None:
     if series is None or series.length == arr.rank():
         return None
     bits = n * (n - 1) // 2
-    line = _instance_line(
-        f"g{n}-{key:0{(bits + 3) // 4}x}",
-        arr,
-        {"vertices": n, "edges": [[u + 1, v + 1] for u, v in edges]},
-    )
+    line = _instance_line(f"g{n}-{key:0{(bits + 3) // 4}x}", arr)
     return canonical_json_line(line)
 
 
 def _random_worker(payload: tuple[str, int, tuple]) -> str:
     key, dim, normals = payload
-    arr = build(dim, normals)
-    line = _instance_line(
-        key, arr, {"ambient_dim": dim, "normals": [list(v) for v in normals]}
-    )
-    return canonical_json_line(line)
+    return canonical_json_line(_instance_line(key, build(dim, normals)))
 
 
 def _random_2generic_instances(seed: int, max_size: int, count: int):
@@ -241,11 +236,14 @@ def _random_2generic_instances(seed: int, max_size: int, count: int):
         dim = rng.randint(3, min(RANDOM_DIM_BOUND, max_size - 1))
         n = rng.randint(dim + 1, max_size)
         normals = []
+        taken = {None}  # the atoms drawn so far; None is the zero vector's
         ok = True
         for _ in range(n):
             for _attempt in range(50):
                 v = tuple(rng.randint(-3, 3) for _ in range(dim))
-                if any(v) and not any(_proportional(u, v) for u in normals):
+                atom = _primitive(v)
+                if atom not in taken:
+                    taken.add(atom)
                     normals.append(v)
                     break
             else:

@@ -44,17 +44,8 @@ class Graph:
 
 
 def make_graph(vertex_count: int, edges) -> Graph:
-    """Normalize edge pairs and sort them lexicographically."""
-    norm = []
-    for u, v in edges:
-        if u == v:
-            raise InputError(f"loop at vertex {u}")
-        norm.append((u, v) if u < v else (v, u))
-    norm.sort()
-    for a, b in zip(norm, norm[1:]):
-        if a == b:
-            raise InputError(f"multi-edge {a}")
-    return Graph(vertex_count, tuple(norm))
+    """Orient edge pairs as (min, max) and sort them; ``Graph`` checks them."""
+    return Graph(vertex_count, tuple(sorted((u, v) if u < v else (v, u) for u, v in edges)))
 
 
 def canonical_form(g: Graph) -> int:

@@ -21,9 +21,10 @@ The mu presentation and its Smith divisors are ``arrangement.memo``
 functions, built once per arrangement, and every entry point checks the
 arrangement through the memoized ``classify``.
 
-The torsion report recomputes the same yes/no question three independent
-ways (mu divisors, the decomposable quotient in degree p+2, the
-indecomposable relations in degree p+2) and insists they agree, and checks
+The torsion report recomputes the same yes/no question three ways (mu
+divisors, the decomposable quotient in degree p+2, the indecomposable
+relations in degree p+2) and insists they agree; the last two both derive
+from M (see ``osalgebra``), so mu is the route independent of it.  It checks
 the closed rank formula n*gr0 - rank(mu) against the Hilbert-data
 expression; for graphic arrangements the chordless-circuit count gives a
 fourth, combinatorial route.  The expression reads H(A) as the Whitney

@@ -9,7 +9,6 @@ import itertools
 import random
 import time
 from contextlib import contextmanager
-from pathlib import Path
 
 import pytest
 
@@ -35,8 +34,8 @@ from hyparr.osalgebra import (
 )
 
 from test_intlinalg import cokernel_oracle_check, rand_matrix
+from helpers import FIXTURES
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 ACCEPT_FIELDS = [RATIONALS, FieldSpec(2), FieldSpec(3), FieldSpec(5)]
 
 

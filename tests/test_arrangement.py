@@ -2,7 +2,6 @@
 
 import itertools
 import random
-from pathlib import Path
 
 import pytest
 
@@ -10,12 +9,10 @@ from hyparr.arrangement import _indices, build, from_graph
 from hyparr.cli import _random_2generic_instances, parse_input
 from hyparr.errors import InputError
 from hyparr.graphs import chromatic_polynomial, connected_graph_reps, make_graph
-
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+from helpers import FIXTURES, THETA, boolean, coxeter_b
 
 K3 = make_graph(3, [(0, 1), (0, 2), (1, 2)])
 K4 = make_graph(4, list(itertools.combinations(range(4), 2)))
-THETA = make_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)])
 
 # xyzt(x+y+z+t)(x-y-z+t) = 0; H = index 4, P = index 5
 TWOGEN6 = [
@@ -37,10 +34,6 @@ TWOGEN7 = [
     (1, 1, 1, 1),
     (1, 2, -1, 4),
 ]
-
-
-def boolean(n):
-    return build(n, [[1 if j == i else 0 for j in range(n)] for i in range(n)])
 
 
 def graph_cycles(g):
@@ -95,6 +88,15 @@ def test_build_rejects_proportional():
         build(2, [(1, 0), (2, 0)])
     with pytest.raises(InputError, match="proportional"):
         build(2, [(1, -1), (-2, 2)])
+
+
+def test_proportional_error_names_the_lexicographically_first_pair():
+    # (1, 2) is the first pair found scanning by the later index, but
+    # (0, 3) comes first in lexicographic order
+    with pytest.raises(InputError) as exc:
+        build(2, [(1, 0), (0, 1), (0, 2), (-1, 0)])
+    assert str(exc.value) == "hyperplanes 0 and 3 are proportional: (1, 0) ~ (-1, 0)"
+    assert exc.value.hyperplanes == (0, 3)
 
 
 def test_build_rejects_zero_normal():
@@ -384,14 +386,6 @@ def test_modular_chain_boolean_and_k3():
 
 
 # ------------------------------------------- modular-coatom oracle vs definition
-
-
-def coxeter_b(d):
-    normals = [[int(k == i) for k in range(d)] for i in range(d)]
-    for i, j in itertools.combinations(range(d), 2):
-        for s in (1, -1):
-            normals.append([1 if k == i else s if k == j else 0 for k in range(d)])
-    return build(d, normals)
 
 
 def modular_chain_by_definition(lat):

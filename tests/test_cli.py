@@ -2,17 +2,24 @@
 
 import hashlib
 import json
-from pathlib import Path
 
 import pytest
 
 from hyparr.arrangement import build, from_graph
 from hyparr.cli import _random_2generic_instances, main, parse_input
-from hyparr.errors import InputError
+from hyparr.errors import InputError, InternalInvariantViolation, PreconditionError
+from hyparr.exterior import ExteriorElement
 from hyparr.graphs import make_graph
+from hyparr.intlinalg import RATIONALS, AbelianInvariants, hermite_basis, quotient_invariants
+from hyparr.osalgebra import (
+    IdealKind,
+    chordless_span_check,
+    ideal_membership,
+    quotient_invariants_graded,
+    r_table,
+)
 from hyparr.report import canonical_json_bytes, canonical_json_line
-
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+from helpers import FIXTURES, THETA
 
 
 def write(tmp_path, name, text):
@@ -222,6 +229,84 @@ def test_usage_errors_exit1(capsys, tmp_path):
     assert done.value.code == 0
 
 
+def test_escaped_precondition_error_exits2(capsys, monkeypatch):
+    # cmd_analyze returns 2 itself; this pins main's handler for a command
+    # that lets a PreconditionError escape
+    import hyparr.cli as cli
+
+    def refuse(args):
+        raise PreconditionError("not hypersolvable")
+
+    monkeypatch.setattr(cli, "cmd_circuits", refuse)
+    assert main(["circuits", "--input", str(FIXTURES / "k3.graph")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "skipped: not hypersolvable\n"
+    assert captured.out == ""
+
+
+def _cli(capsys, *argv):
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def _fields_blank_token_is_skipped(capsys):
+    theta6 = str(FIXTURES / "theta6.graph")
+    want = _cli(capsys, "analyze", "--input", theta6, "--json", "-", "--fields", "0,3")
+    got = _cli(capsys, "analyze", "--input", theta6, "--json", "-", "--fields", "0,,3")
+    assert want[0] == 0 and got[:2] == want[:2]
+
+
+def _fields_empty(capsys):
+    got = _cli(capsys, "analyze", "--input", str(FIXTURES / "theta6.graph"), "--fields", ",")
+    assert got == (1, "", "error: --fields given but empty\n")
+
+
+def _circuits_size_below_3(capsys):
+    code, out, err = _cli(capsys, "circuits", "--input", str(FIXTURES / "theta6.graph"),
+                          "--size", "2")
+    assert (code, out, err) == (1, "", "error: circuits have size >= 3, got 2\n")
+
+
+def _circuits_size_above_n(capsys):
+    got = _cli(capsys, "circuits", "--input", str(FIXTURES / "theta6.graph"), "--size", "99")
+    assert got == (0, "", "")
+
+
+def _raises(error, call):
+    def case(capsys):
+        with pytest.raises(error):
+            call(from_graph(THETA))
+    return case
+
+
+@pytest.mark.parametrize("case", [
+    pytest.param(_fields_blank_token_is_skipped, id="fields-blank-token"),
+    pytest.param(_fields_empty, id="fields-empty"),
+    pytest.param(_circuits_size_below_3, id="circuits-size-2"),
+    pytest.param(_circuits_size_above_n, id="circuits-size-99"),
+    pytest.param(_raises(InputError, lambda a: build(0, [])), id="build-dim-0"),
+    pytest.param(_raises(InputError, lambda a: build(2, [(1, 0)], ["a", "b"])),
+                 id="label-count"),
+    pytest.param(_raises(InputError, lambda a: a.circuits(a.n + 1)), id="circuits-past-n"),
+    pytest.param(_raises(InputError, lambda a: a.chordless_circuits(2)), id="chordless-2"),
+    pytest.param(_raises(InputError, lambda a: quotient_invariants_graded(a, "X", 2)),
+                 id="unknown-quotient"),
+    pytest.param(_raises(InputError, lambda a: r_table(a, [])), id="r-table-no-fields"),
+    pytest.param(_raises(InputError, lambda a: chordless_span_check(a, 1, RATIONALS)),
+                 id="span-check-degree-1"),
+    pytest.param(_raises(InputError, lambda a: ideal_membership(
+        a, ExteriorElement(a.n + 1), IdealKind.FULL)), id="membership-degree-past-n"),
+    pytest.param(_raises(InputError, lambda a: hermite_basis([[1, 2], [3]])), id="ragged"),
+    pytest.param(_raises(InputError, lambda a: quotient_invariants(2, [{5: 1}])),
+                 id="generator-past-ambient"),
+    pytest.param(_raises(InternalInvariantViolation, lambda a: AbelianInvariants(0, (2, 3))),
+                 id="unchained-factors"),
+])
+def test_every_input_guard_raises_its_documented_error(case, capsys):
+    case(capsys)
+
+
 # ---------------------------------------------------------------- circuits
 
 
@@ -334,6 +419,8 @@ def test_random2g_search_bytes_are_frozen(tmp_path):
     [
         (0, "b98cc4bc0635fbb69cc28fa529d791cbec7fa25fcad5bbf11378b2dca9893f31"),
         (1, "5e3d608f6307f7a158c0c71ec3b2acefb8bc41196cc570c40ef8fb81cf98d618"),
+        # seed 5 draws a zero vector, which the stream must skip
+        (5, "fedbce9df62e42fd28555d81b8665630a9818930bb637ee6070b49f7ca4aea16"),
         (11, "ed835b0ddab0ac2e5d9ff0573cc5f6f4c9e92a53ee264b0878d6345eb991ad77"),
     ],
 )
@@ -635,7 +722,7 @@ def test_torsion_found_line_dumps_matrix(monkeypatch):
     monkeypatch.setattr(
         report, "gr1_invariants", lambda a: AbelianInvariants(5, (2, 4))
     )
-    line = cli._instance_line("test-key", arr, {"vertices": 6})
+    line = cli._instance_line("test-key", arr)
     assert line["torsion_found"] is True
     assert line["gr1_invariant_factors"] == [2, 4]
     assert line["mu_matrix"] == cli.mu_presentation(arr).matrix

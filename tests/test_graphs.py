@@ -18,6 +18,7 @@ from hyparr.graphs import (
     is_connected,
     make_graph,
 )
+from helpers import THETA
 
 
 def k_n(n):
@@ -30,9 +31,6 @@ def cycle(n):
 
 def path(n):
     return make_graph(n, [(i, i + 1) for i in range(n - 1)])
-
-
-THETA = make_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)])
 
 
 def chromatic_oracle(g):
@@ -82,6 +80,19 @@ def test_graph_validation():
         make_graph(3, [(0, 1), (1, 0)])
     with pytest.raises(InputError):
         Graph(2, ((0, 5),))
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([(0, 0)], "loop at vertex 0"),
+    ([(0, 1), (1, 0)], r"multi-edge \(0, 1\)"),
+    ([(2, 1), (0, 1), (1, 2)], r"multi-edge \(1, 2\)"),
+    # two faults: Graph checks the oriented, sorted edges in order
+    ([(2, 2), (1, 0), (0, 1)], r"multi-edge \(0, 1\)"),
+    ([(0, 1), (1, 1), (2, 1), (1, 2)], "loop at vertex 1"),
+])
+def test_make_graph_errors_name_the_first_fault_in_sorted_order(edges, message):
+    with pytest.raises(InputError, match=f"^{message}$"):
+        make_graph(3, edges)
 
 
 def test_canonical_form_invariant_under_relabeling():

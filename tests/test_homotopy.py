@@ -2,7 +2,6 @@
 
 import tracemalloc
 from math import comb
-from pathlib import Path
 
 import pytest
 
@@ -29,11 +28,9 @@ from hyparr.intlinalg import (
     snf_divisors,
 )
 from hyparr.osalgebra import IdealKind, IdealLattice, hilbert, ideal_lattice
-
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+from helpers import FIXTURES, THETA
 
 K3 = make_graph(3, [(0, 1), (0, 2), (1, 2)])
-THETA = make_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)])
 TWOGEN6 = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
            (1, 1, 1, 1), (1, -1, -1, 1)]
 TWOGEN7 = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
@@ -404,7 +401,6 @@ def test_quadratic_bases_are_built_only_where_read(monkeypatch, tmp_path):
         else:
             assert built == [], name
     assert qualifying >= 3
-
 
 
 def test_a_search_line_builds_lattices_only_in_degrees_p1_and_p2(monkeypatch):

@@ -5,7 +5,6 @@ import hashlib
 import itertools
 import json
 import random
-from pathlib import Path
 
 import pytest
 
@@ -26,19 +25,13 @@ from hyparr.hypersolvable import (
 from hyparr.homotopy import mu_presentation
 from hyparr.intlinalg import RATIONALS
 from hyparr.osalgebra import IdealKind, hilbert, ideal_lattice
-
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+from helpers import FIXTURES, THETA, boolean, coxeter_b
 
 K3 = make_graph(3, [(0, 1), (0, 2), (1, 2)])
-THETA = make_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)])
 TWOGEN6 = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
            (1, 1, 1, 1), (1, -1, -1, 1)]
 TWOGEN7 = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
            (1, 1, 2, 0), (1, 1, 1, 1), (1, 2, -1, 4)]
-
-
-def boolean(n):
-    return build(n, [[1 if j == i else 0 for j in range(n)] for i in range(n)])
 
 
 def d4():
@@ -145,14 +138,6 @@ def test_series_theta_all_singletons():
 
 def test_series_d4_none():
     assert composition_series(d4()) is None
-
-
-def coxeter_b(d):
-    normals = [[int(k == i) for k in range(d)] for i in range(d)]
-    for i, j in itertools.combinations(range(d), 2):
-        for s in (1, -1):
-            normals.append([1 if k == i else s if k == j else 0 for k in range(d)])
-    return build(d, normals)
 
 
 def series_inputs():

@@ -7,7 +7,6 @@ import json
 import random
 import tracemalloc
 from math import comb
-from pathlib import Path
 
 import pytest
 
@@ -33,21 +32,15 @@ from hyparr.osalgebra import (
     quotient_invariants_graded,
     r_table,
 )
-
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+from helpers import FIXTURES, THETA, boolean, coxeter_b
 
 K3 = make_graph(3, [(0, 1), (0, 2), (1, 2)])
-THETA = make_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)])
 TWOGEN6 = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
            (1, 1, 1, 1), (1, -1, -1, 1)]
 TWOGEN7 = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
            (1, 1, 2, 0), (1, 1, 1, 1), (1, 2, -1, 4)]
 
 FIELDS = [RATIONALS, FieldSpec(2), FieldSpec(3), FieldSpec(5)]
-
-
-def boolean(n):
-    return build(n, [[1 if j == i else 0 for j in range(n)] for i in range(n)])
 
 
 def test_ideal_generators_k3_full_degree2():
@@ -401,14 +394,6 @@ def test_hilbert_a_matches_nbc_count():
 
 
 # ------------------------------- direct constructions vs elimination oracle
-
-
-def coxeter_b(d):
-    normals = [[int(k == i) for k in range(d)] for i in range(d)]
-    for i, j in itertools.combinations(range(d), 2):
-        for s in (1, -1):
-            normals.append([1 if k == i else s if k == j else 0 for k in range(d)])
-    return build(d, normals)
 
 
 def shuffled(arr, rng):
