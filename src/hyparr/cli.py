@@ -37,8 +37,8 @@ RANDOM_SIZE_BOUND = 12
 RANDOM_DIM_BOUND = 6
 # hyperplanes; admits K7 (21) and every fixture.  It limits n only: the
 # cost also grows with the rank.  24 general lines in the plane (rank 3)
-# take ~2.4 s and ~56 MiB; random rank-6 inputs (README) take ~18 s and
-# ~82 MiB at n = 20, and at n = 24 do not finish within 300 s
+# take ~2.4 s and ~56 MiB; random rank-6 inputs (README) take ~8 s and
+# ~83 MiB at n = 20, and at n = 24 do not finish within 300 s
 ANALYZE_SIZE_BOUND = 24
 
 
@@ -80,6 +80,10 @@ def parse_input(path: str, fmt: str | None = None) -> Arrangement:
         size = int(parts[1])
     except ValueError:
         raise InputError(f"{path}:{head_no}: bad size {parts[1]!r}") from None
+    if size < 1:
+        need = ("graph needs at least 1 vertex" if kind == "graph"
+                else "ambient dimension must be positive")
+        raise InputError(f"{path}:{head_no}: {need}, got {size}")
 
     if kind == "arrangement":
         normals = []
@@ -98,7 +102,9 @@ def parse_input(path: str, fmt: str | None = None) -> Arrangement:
         try:
             return build(size, normals)
         except InputError as exc:
-            raise _reindex_error(exc, path, linenos) from None
+            # build() names hyperplanes by index; the file names them by line
+            msg = exc.naming("line", linenos) if exc.hyperplanes else str(exc)
+            raise InputError(f"{path}: {msg}") from None
 
     edges = set()
     for lineno, line in rows[1:]:
@@ -119,12 +125,6 @@ def parse_input(path: str, fmt: str | None = None) -> Arrangement:
             raise InputError(f"{path}:{lineno}: multi-edge {u} {v}")
         edges.add((u - 1, v - 1))
     return from_graph(make_graph(size, edges))
-
-
-def _reindex_error(exc: InputError, path: str, linenos: list[int]) -> InputError:
-    # build() names hyperplanes by index; the file names them by line
-    msg = exc.naming("line", linenos) if exc.hyperplanes else str(exc)
-    return InputError(f"{path}: {msg}")
 
 
 def _parse_fields(spec: str | None):
@@ -180,9 +180,7 @@ def cmd_circuits(args) -> int:
         sizes = [args.size]
     else:
         sizes = list(range(3, cap + 1))
-    for size in sizes:
-        if size > arr.n:
-            continue
+    for size in sizes:  # a size above n lists nothing
         found = (
             arr.chordless_circuits(size)
             if args.chordless

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from hyparr.arrangement import _indices, build, from_graph
+from hyparr.arrangement import Arrangement, _indices, build, from_graph
 from hyparr.cli import _random_2generic_instances, parse_input
 from hyparr.errors import InputError
 from hyparr.graphs import chromatic_polynomial, connected_graph_reps, make_graph
@@ -551,6 +551,11 @@ def test_has_chord_skip_matches_the_split_loop():
     inputs += [parse_input(str(p)) for p in sorted(FIXTURES.iterdir())]
     gen = random.Random(1935)
     inputs += [small_entries(gen, gen.choice((3, 4, 5)), gen.randint(4, 10)) for _ in range(40)]
+    # rank 6 gives circuits of size 7; the copy lists the same normals in another order
+    normals = rank6_normals(12)
+    inputs.append(build(6, normals))
+    random.Random(1939).shuffle(normals)
+    inputs.append(build(6, normals))
     counts = [0, 0]
     for arr in inputs:
         for circ in arr.circuits(min(arr.n, arr.rank() + 1)):
@@ -558,6 +563,45 @@ def test_has_chord_skip_matches_the_split_loop():
             assert arr.has_chord(circ) == expect, (arr.normals, circ)
             counts[expect] += 1
     assert min(counts) >= 100, counts
+
+
+def test_a_chord_test_makes_at_most_size_plus_one_lookups_per_candidate(monkeypatch):
+    # has_chord reads one fundamental circuit per c: the skip test, |C| - 1
+    # tests to find it, and one for the half it leaves; a scan of every
+    # split would make up to 2 (2^(|C|-1) - 1) per c
+    arr = build(6, rank6_normals(12))
+    circuits = arr.circuits(7)
+    assert (len(circuits), sum(len(c) == 7 for c in circuits)) == (313, 256)
+    dependent = Arrangement._dependent
+    calls = 0
+
+    def counted(self, m):
+        nonlocal calls
+        calls += 1
+        return dependent(self, m)
+
+    monkeypatch.setattr(Arrangement, "_dependent", counted)
+    chords = 0
+    for circ in circuits:
+        calls = 0
+        chords += arr.has_chord(circ)
+        assert calls <= arr.n * (len(circ) + 1), (circ, calls)
+    assert chords == 31
+
+
+def rank6_normals(n):
+    """The first n distinct {-1,0,1} vectors in dimension 6 drawn by
+    ``random.Random(0)``, zero dropped, first nonzero entry made positive."""
+    gen = random.Random(0)
+    normals = []
+    while len(normals) < n:
+        v = [gen.randint(-1, 1) for _ in range(6)]
+        if any(v):
+            sign = next(x for x in v if x)
+            v = [sign * x for x in v]
+            if v not in normals:
+                normals.append(v)
+    return normals
 
 
 def small_entries(gen, dim, draws):

@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -103,6 +106,9 @@ def test_parse_missing_file():
     ("pair.graph", "graph 3\n1 2 3\n", ":2: expected 'u v'"),
     ("vertex.graph", "graph 3\n1 2\n2 c\n", ":3: non-integer vertex"),
     ("range.graph", "graph 3\n1 2\n# next\n3 2\n", ":4: edge 3 2 is not 1 <= u < v <= 3"),
+    ("zero.graph", "graph 0\n", ":1: graph needs at least 1 vertex, got 0"),
+    ("negative.graph", "# none\ngraph -2\n1 2\n", ":2: graph needs at least 1 vertex, got -2"),
+    ("zero.arr", "arrangement 0\n", ":1: ambient dimension must be positive, got 0"),
 ])
 def test_parse_errors_exit1_naming_the_line(capsys, tmp_path, name, text, message):
     path = write(tmp_path, name, text)
@@ -161,6 +167,29 @@ def test_analyze_d4_exit2(tmp_path):
 def test_analyze_missing_input_exit1(capsys):
     assert main(["analyze", "--input", "/no/such/file"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_the_module_entry_point_exits_with_mains_code(capsys, tmp_path):
+    # `python -m hyparr.cli` runs the module's __main__ line, which nothing
+    # in-process reaches: its exit status must be main's return value
+    root = FIXTURES.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "hyparr.cli", "analyze", *argv], cwd=root, env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+
+    theta = str(FIXTURES / "theta6.graph")
+    proc = run("--input", theta, "--json", "-")
+    assert proc.returncode == 0, proc.stderr
+    assert main(["analyze", "--input", theta, "--json", "-"]) == 0
+    assert proc.stdout == capsys.readouterr().out
+    assert run("--input", str(FIXTURES / "d4.arr")).returncode == 2
+    proc = run("--input", str(tmp_path / "missing.arr"))
+    assert proc.returncode == 1
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: "), proc.stderr
 
 
 def test_analyze_deterministic(tmp_path):

@@ -923,6 +923,7 @@ def matroid_data(arr):
         arr.circuits(),
         arr.pair_closures(),
         lat.has_modular_chain(),
+        [arr.chordless_circuits(s) for s in range(3, min(arr.n, arr.rank() + 1) + 1)],
     )
 
 
