@@ -18,6 +18,7 @@ remember their source graph for reporting.
 from __future__ import annotations
 
 from functools import cached_property, wraps
+from itertools import islice
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
@@ -251,29 +252,33 @@ class Arrangement:
     def pair_closures(self) -> list[list[int]]:
         """The collinearity table: ``line[a][b]`` is the int mask of cl{a, b}.
 
-        For a != b that is the rank-2 flat through a and b: a together with
-        the hyperplanes whose residual modulo a equals b's.  ``line[a][a]``
-        is the single bit of a.  Shared by every caller, so never mutate it.
+        For a != b that is the rank-2 flat through a and b.  Each such line
+        is built once, from its smallest member a: a together with the
+        hyperplanes h > a whose residual modulo a equals b's, so a 2-generic
+        input makes C(n, 2) residual steps.  ``line[a][a]`` is the single
+        bit of a.  Shared by every caller, so never mutate it.
         """
         return self._lines
 
     @cached_property
     def _lines(self) -> list[list[int]]:
         atoms = self._atoms
-        line = []
+        n = self.n
+        line = [[0] * n for _ in range(n)]
         for a, p in enumerate(atoms):
+            row = line[a]
             k = _pivot(p)
             groups: dict[Vector, int] = {}
-            for h, v in enumerate(atoms):
-                if h != a:
-                    r = _reduce(v, p, k)
+            for h in range(a + 1, n):
+                if not row[h]:  # else a and h lie on a line with a smaller member
+                    r = _reduce(atoms[h], p, k)
                     groups[r] = groups.get(r, 1 << a) | 1 << h
-            row = [0] * self.n
             for m in groups.values():
-                for h in _indices(m):
-                    row[h] = m
+                members = _indices(m)
+                for x in members:
+                    for y in members:
+                        line[x][y] = m
             row[a] = 1 << a
-            line.append(row)
         return line
 
     def intersection_lattice(self) -> "IntersectionLattice":
@@ -291,10 +296,8 @@ class Arrangement:
     @cached_property
     def _betti(self) -> tuple[int, ...]:
         lat = self.intersection_lattice()
-        out = [0] * (self.rank() + 1)
-        for flat in lat.flats:
-            out[lat.rank_of[flat]] += abs(lat.mobius[flat])
-        return tuple(out)
+        mu = iter(lat._mu)
+        return tuple(sum(map(abs, islice(mu, len(level)))) for level in lat._levels)
 
 
 def _primitive(v: Sequence[int]) -> Vector | None:
@@ -311,7 +314,9 @@ def _primitive(v: Sequence[int]) -> Vector | None:
 
 
 def _pivot(p: Vector) -> int:
-    return next(i for i, x in enumerate(p) if x)
+    for i, x in enumerate(p):
+        if x:
+            return i
 
 
 def _reduce(v: Vector, p: Vector, k: int) -> Vector | None:
@@ -374,17 +379,28 @@ def memo(fn):
 class IntersectionLattice:
     """All flats of the arrangement with ranks, Mobius values and joins.
 
-    Flats are frozensets of hyperplane indices; the order relation is
-    containment.  Built level by level from the independent-set table, so
-    no rank or residual is computed.  Each flat F of rank k - 1 keeps a
-    basis B: the set B' + h of the first cover relation F' < F that
-    reached it.  For a hyperplane h outside F and its covers so far, the
-    cover is G = B + h plus every x with B + h + x not in the table of
-    independent (k + 1)-sets (Oxley, "Matroid Theory", 1.4); at the top
-    rank it is every hyperplane.  The lower covers are kept as tuples of
-    flat indices, and ``mobius`` is Weisner's recursion over them: for a
-    fixed atom a <= X, mu(X) = -sum mu(Y) over the covers Y of X that
-    miss a.
+    Flats are kept as int masks of hyperplane indices, one list per rank;
+    within a rank they are in the order of their sorted index tuples, which
+    sorting by the bit-reversed mask gives, as no flat's tuple is a prefix
+    of another's of the same rank.  ``flats`` (frozensets, rank-ascending),
+    ``rank_of`` and ``mobius`` are views written on first read: the
+    classification and the Whitney numbers read the masks alone.
+
+    Built level by level from the independent-set table, so no rank or
+    residual is computed.  Each flat F of rank k - 1 keeps a basis B: the
+    set B' + h of the first cover relation F' < F that reached it.  For a
+    hyperplane h outside F and its covers so far, the cover is G = B + h
+    plus every x with B + h + x not in the table of independent
+    (k + 1)-sets (Oxley, "Matroid Theory", 1.4); at the top rank it is
+    every hyperplane.  Only the x in ``reach[h]``, the union of the
+    circuits of size <= k + 1 through h, are looked up: B + h + x dependent
+    has a unique circuit, which holds x because B + h is independent and h
+    because x is outside F = cl(B), so any other x is outside G.  Those
+    circuits are all recorded once ``independent_sets(k + 1)`` returns; on
+    an input with no circuit smaller than rank + 1 there is no lookup.  The
+    lower covers are kept as tuples of flat indices, and Mobius is
+    Weisner's recursion over them: for a fixed atom a <= X, mu(X) = -sum
+    mu(Y) over the covers Y of X that miss a.
 
     Supersolvability (a maximal chain of modular flats) is decided by the
     modular-coatom criterion instead of by the definition: a coatom Y of a
@@ -405,16 +421,25 @@ class IntersectionLattice:
         self._normals = arr.normals
         self._ranks: dict[frozenset[int], int] = {}
         self._lines = arr.pair_closures()
-        self.flats: list[frozenset[int]] = [frozenset()]
-        self.rank_of: dict[frozenset[int], int] = {frozenset(): 0}
-        self._masks = [0]
+        self._levels: list[list[int]] = [[0]]
         self._lower: list[tuple[int, ...]] = [()]
         rank = arr.rank()
         full = (1 << arr.n) - 1
+        width = f"0{arr.n}b"
+        reach = [0] * arr.n
+        circuits = arr._circuits  # by size, complete up to the table's largest
+        seen = 0
         # (index, mask, basis mask) of each rank-(k - 1) flat
         level = [(0, 0, 0)]
         for k in range(1, rank + 1):
-            above = arr.independent_sets(k + 1) if k < rank else None
+            above = None
+            if k < rank:
+                above = arr.independent_sets(k + 1)
+                while seen < len(circuits) and len(circuits[seen]) <= k + 1:
+                    c = _mask(circuits[seen])
+                    for h in circuits[seen]:
+                        reach[h] |= c
+                    seen += 1
             covers: dict[int, tuple[int, list[int]]] = {}
             for i, m, basis in level:
                 left = full & ~m  # hyperplanes not yet in a cover of F
@@ -425,7 +450,7 @@ class IntersectionLattice:
                         g = full
                     else:
                         g = m | h
-                        rest = left ^ h
+                        rest = left & reach[h.bit_length() - 1] & ~h
                         while rest:
                             x = rest & -rest
                             if b | x not in above:
@@ -437,16 +462,35 @@ class IntersectionLattice:
                         covers[g] = (b, [i])
                     else:
                         hit[1].append(i)
-            level = []
-            for indices, g in sorted((_indices(g), g) for g in covers):
-                b, lower = covers[g]
-                flat = frozenset(indices)
-                level.append((len(self.flats), g, b))
-                self.flats.append(flat)
-                self.rank_of[flat] = k
-                self._masks.append(g)
-                self._lower.append(tuple(lower))
+            start = len(self._lower)
+            masks = sorted(covers, key=lambda g: format(g, width)[::-1], reverse=True)
+            level = [(start + j, g, covers[g][0]) for j, g in enumerate(masks)]
+            self._levels.append(masks)
+            self._lower.extend(tuple(covers[g][1]) for g in masks)
         self._join_cache: dict[tuple[frozenset, frozenset], frozenset] = {}
+
+    @cached_property
+    def flats(self) -> list[frozenset[int]]:
+        return [frozenset(_indices(m)) for level in self._levels for m in level]
+
+    @cached_property
+    def rank_of(self) -> dict[frozenset[int], int]:
+        ranks = (k for k, level in enumerate(self._levels) for _ in level)
+        return dict(zip(self.flats, ranks))
+
+    @cached_property
+    def mobius(self) -> dict[frozenset[int], int]:
+        return dict(zip(self.flats, self._mu))
+
+    @cached_property
+    def _mu(self) -> list[int]:
+        """Mobius values of the flats in rank-ascending order."""
+        masks = [m for level in self._levels for m in level]
+        mu = [1]
+        for x, lower in zip(masks[1:], self._lower[1:]):
+            atom = x & -x
+            mu.append(-sum(mu[y] for y in lower if not masks[y] & atom))
+        return mu
 
     def _rank(self, s: frozenset[int]) -> int:
         r = self._ranks.get(s)
@@ -461,15 +505,6 @@ class IntersectionLattice:
             if h not in out and self._rank(s | {h}) == r:
                 out.add(h)
         return frozenset(out)
-
-    @cached_property
-    def mobius(self) -> dict[frozenset[int], int]:
-        masks = self._masks
-        mu = [1]
-        for x, lower in zip(masks[1:], self._lower[1:]):  # rank-ascending order
-            atom = x & -x
-            mu.append(-sum(mu[y] for y in lower if not masks[y] & atom))
-        return dict(zip(self.flats, mu))
 
     def join(self, x: frozenset[int], y: frozenset[int]) -> frozenset[int]:
         key = (x, y) if sorted(x) <= sorted(y) else (y, x)
@@ -494,11 +529,8 @@ class IntersectionLattice:
         and rank-2 closures as int bitmasks; a flat whose interval has no
         chain is recorded and never searched again.
         """
-        line = self._lines
-        by_rank: list[list[int]] = [[] for _ in range(self.rank_of[self.flats[-1]] + 1)]
-        for flat, m in zip(self.flats, self._masks):
-            by_rank[self.rank_of[flat]].append(m)
-        return _chain_below(line, by_rank, set(), by_rank[-1][0], len(by_rank) - 1)
+        levels = self._levels
+        return _chain_below(self._lines, levels, set(), levels[-1][0], len(levels) - 1)
 
 
 def _chain_below(

@@ -161,25 +161,6 @@ def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
     return gens
 
 
-def is_connected(g: Graph) -> bool:
-    n = g.vertex_count
-    if n == 0:
-        return True
-    nbrs = [[] for _ in range(n)]
-    for u, v in g.edges:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for w in nbrs[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == n
-
-
 def is_chordal(g: Graph) -> bool:
     """Simplicial-vertex elimination; succeeds exactly on chordal graphs."""
     nbrs = {v: set() for v in range(g.vertex_count)}

@@ -178,7 +178,8 @@ def mu_presentation(a: Arrangement) -> MuPresentation:
             f"gr0 rank {g0} from Hilbert data but lattice basis has {len(gr0_rows)}"
         )
 
-    nonpivot = [j for j in range(comb(n, d2)) if j not in quad2.hnf.pivots]
+    pivots = quad2.hnf.pivots
+    nonpivot = [j for j in range(comb(n, d2)) if j not in pivots]
     pos = {j: k for k, j in enumerate(nonpivot)}
     mons1 = list(_columns(a, d1))
     col_of2 = _columns(a, d2)
@@ -193,7 +194,9 @@ def mu_presentation(a: Arrangement) -> MuPresentation:
                 if mon & bit:
                     continue
                 w[col_of2[mon | bit]] = -v if (mon >> h).bit_count() % 2 else v
-            rows.append({pos[j]: v for j, v in quad2.hnf.reduce(w).items()})
+            if pivots:
+                w = {pos[j]: v for j, v in quad2.hnf.reduce(w).items()}
+            rows.append(w)  # with no pivot (I_2 = 0 in degree p+2) w is its own residual
             row_basis.append((gidx, h))
 
     mons2 = list(col_of2)

@@ -21,3 +21,19 @@ def coxeter_b(d):
         for s in (1, -1):
             normals.append([1 if k == i else s if k == j else 0 for k in range(d)])
     return build(d, normals)
+
+
+def is_connected(g):
+    """Depth-first search from vertex 0 reaches every vertex."""
+    nbrs = [[] for _ in range(g.vertex_count)]
+    for u, v in g.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    seen = {0} if g.vertex_count else set()
+    stack = list(seen)
+    while stack:
+        for w in nbrs[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == g.vertex_count

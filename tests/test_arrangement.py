@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from math import comb
 
 import pytest
 
@@ -9,6 +10,7 @@ from hyparr.arrangement import Arrangement, _indices, build, from_graph
 from hyparr.cli import _random_2generic_instances, parse_input
 from hyparr.errors import InputError
 from hyparr.graphs import chromatic_polynomial, connected_graph_reps, make_graph
+from hyparr.hypersolvable import classify
 from helpers import FIXTURES, THETA, boolean, coxeter_b
 
 K3 = make_graph(3, [(0, 1), (0, 2), (1, 2)])
@@ -477,6 +479,19 @@ def test_mobius_is_lazy_and_keeps_identities():
         for f in lat.flats:
             assert lat.mobius[f] * (-1) ** lat.rank_of[f] > 0
         assert "mobius" in vars(lat)
+    # the classification and the Whitney numbers read the mask levels alone
+    _key, dim, normals = next(_random_2generic_instances(0, 8, 1))
+    arr = build(dim, normals)
+    classify(arr)
+    betti = arr.betti_mobius()
+    lat = arr.intersection_lattice()
+    assert not {"flats", "rank_of", "mobius"} & vars(lat).keys()
+    assert lat.rank_of == brute_force_flats(arr)
+    assert lat.mobius == mobius_by_definition(lat)
+    assert betti == [
+        sum(abs(m) for f, m in lat.mobius.items() if lat.rank_of[f] == k)
+        for k in range(arr.rank() + 1)
+    ]
     # chromatic polynomial k(k-1)(k-2)(k-3) of K4; B3 has exponents 1, 3, 5
     assert from_graph(K4).betti_mobius() == [1, 6, 11, 6]
     assert coxeter_b(3).betti_mobius() == [1, 9, 23, 15]
@@ -712,7 +727,7 @@ def test_residual_routes_match_definitions():
         after = build(arr.ambient_dim, arr.normals)
         after.circuits()
         again = after.intersection_lattice()
-        assert (again.flats, again._lower, again._masks) == (lat.flats, lat._lower, lat._masks)
+        assert (again.flats, again._lower, again._levels) == (lat.flats, lat._lower, lat._levels)
         seen += 1
     assert seen == 2 * (4 + 143 + 7 + 2 + 40 + 10)
 
@@ -736,6 +751,81 @@ def test_lattice_computes_no_residual(monkeypatch):
     assert calls == []
     coxeter_b(4).intersection_lattice()  # a fresh table grows by residual steps
     assert calls
+
+
+def unfiltered_lookups(lat):
+    """The table lookups of a cover scan that tests every x: for each flat
+    F below rank - 1, the classes G - F of its covers G taken in order of
+    their least member, each costing |left| - 1 with left the union of that
+    class and the later ones."""
+    top = lat.rank_of[lat.flats[-1]]
+    classes = {}
+    for g, lower in zip(lat.flats, lat._lower):
+        for i in lower:
+            classes.setdefault(i, []).append(g - lat.flats[i])
+    total = 0
+    for i, parts in classes.items():
+        if lat.rank_of[lat.flats[i]] < top - 1:
+            left = sum(map(len, parts))
+            for part in sorted(parts, key=min):
+                total += left - 1
+                left -= len(part)
+    return total
+
+
+def test_cover_scan_looks_up_only_what_a_small_circuit_reaches(monkeypatch):
+    lookups = 0
+
+    class Counted(set):
+        def __contains__(self, m):
+            nonlocal lookups
+            lookups += 1
+            return super().__contains__(m)
+
+    independent_sets = Arrangement.independent_sets
+    monkeypatch.setattr(
+        Arrangement, "independent_sets", lambda self, size: Counted(independent_sets(self, size))
+    )
+    # any three moment-curve normals form a Vandermonde basis, so no
+    # circuit is smaller than rank + 1 and no lookup is needed
+    arr = build(3, [(1, i, i * i) for i in range(12)])
+    arr.intersection_lattice()
+    assert lookups == 0
+    assert unfiltered_lookups(arr.intersection_lattice()) > 0
+    inputs = [parse_input(str(p)) for p in sorted(FIXTURES.iterdir())]
+    inputs += [from_graph(make_graph(k, list(itertools.combinations(range(k), 2)))) for k in (4, 5, 6)]
+    inputs += [build(dim, normals) for _key, dim, normals in _random_2generic_instances(0, 12, 50)]
+    made = bound = 0
+    for arr in inputs:
+        lookups = 0
+        lat = arr.intersection_lattice()
+        assert lookups <= unfiltered_lookups(lat), arr.normals
+        made += lookups
+        bound += unfiltered_lookups(lat)
+    assert made < bound
+
+
+def test_pair_closures_reduce_each_line_once(monkeypatch):
+    import hyparr.arrangement as arrangement
+
+    calls = 0
+    reduce = arrangement._reduce
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return reduce(*args)
+
+    _key, dim, normals = next(_random_2generic_instances(0, 12, 1))
+    generic = build(dim, normals)
+    d4 = parse_input(str(FIXTURES / "d4.arr"))
+    monkeypatch.setattr(arrangement, "_reduce", counted)
+    generic.pair_closures()
+    assert calls == comb(generic.n, 2)
+    calls = 0
+    lines = {m for row in d4.pair_closures() for m in row if m.bit_count() > 1}
+    # a line L costs |L| - 1 steps, from its smallest member
+    assert calls == sum(m.bit_count() - 1 for m in lines) < comb(d4.n, 2)
 
 
 def test_single_dependence_query_does_not_grow_the_table():

@@ -15,10 +15,9 @@ from hyparr.graphs import (
     chromatic_polynomial,
     connected_graph_reps,
     is_chordal,
-    is_connected,
     make_graph,
 )
-from helpers import THETA
+from helpers import THETA, is_connected
 
 
 def k_n(n):

@@ -237,6 +237,30 @@ def test_mu_rows_match_the_wedge_product():
         assert snf_divisors(pres.rows) == smith_normal_form(pres.matrix).divisors
 
 
+def test_mu_reduces_only_by_a_quadratic_lattice_with_pivots(monkeypatch):
+    calls = 0
+    reduce = SparseHermite.reduce
+
+    def counted(self, row):
+        nonlocal calls
+        calls += 1
+        return reduce(self, row)
+
+    monkeypatch.setattr(SparseHermite, "reduce", counted)
+    # I_2 = 0 in degree p+2 on a 2-generic line: each product is its own class
+    lines = (build(dim, normals) for _key, dim, normals in _random_2generic_instances(0, 12, 50))
+    arr = next(line for line in lines if qualifying(line))
+    assert ideal_lattice(arr, IdealKind.QUADRATIC, classify(arr).p + 2).rank == 0
+    pres = mu_presentation(arr)
+    assert calls == 0
+    assert pres.rows == mu_rows_by_wedge(arr)
+    (graph,) = graphs_with_quadratic_relations(1)
+    calls = 0
+    pres = mu_presentation(graph)
+    assert calls == len(pres.rows)
+    assert pres.rows == mu_rows_by_wedge(graph)
+
+
 def test_mu_of_general_lines_stays_small():
     # 12 lines in general position in the plane: a 1980 x 495 mu matrix,
     # which a dense build holds at ~9 MiB and the sparse rows at ~2 MiB
