@@ -377,7 +377,7 @@ def memo(fn):
 
 
 class IntersectionLattice:
-    """All flats of the arrangement with ranks, Mobius values and joins.
+    """All flats of the arrangement with their ranks, lower covers and Mobius values.
 
     Flats are kept as int masks of hyperplane indices, one list per rank;
     within a rank they are in the order of their sorted index tuples, which
@@ -409,17 +409,13 @@ class IntersectionLattice:
     "Hyperplane arrangements with a lattice of regions", 1990).  A modular
     element of [0, X] with X modular is modular in the whole lattice
     (Stanley, "Modular elements of geometric lattices", 1971), so a chain
-    exists iff some modular coatom has one below it.  ``closure``, ``join``
-    and ``is_modular`` keep the definitions (ranks by elimination, rank
-    additivity against every flat) as test oracles.
+    exists iff some modular coatom has one below it.
     """
 
     def __init__(self, arr: Arrangement):
-        # the normals and the collinearity table, not the arrangement, which
+        # the collinearity table, not the arrangement, which
         # holds the lattice: a reference cycle would keep every arrangement
         # and its caches alive until a full garbage collection
-        self._normals = arr.normals
-        self._ranks: dict[frozenset[int], int] = {}
         self._lines = arr.pair_closures()
         self._levels: list[list[int]] = [[0]]
         self._lower: list[tuple[int, ...]] = [()]
@@ -467,7 +463,6 @@ class IntersectionLattice:
             level = [(start + j, g, covers[g][0]) for j, g in enumerate(masks)]
             self._levels.append(masks)
             self._lower.extend(tuple(covers[g][1]) for g in masks)
-        self._join_cache: dict[tuple[frozenset, frozenset], frozenset] = {}
 
     @cached_property
     def flats(self) -> list[frozenset[int]]:
@@ -491,36 +486,6 @@ class IntersectionLattice:
             atom = x & -x
             mu.append(-sum(mu[y] for y in lower if not masks[y] & atom))
         return mu
-
-    def _rank(self, s: frozenset[int]) -> int:
-        r = self._ranks.get(s)
-        if r is None:
-            r = self._ranks[s] = rank_over_field([self._normals[i] for i in s], RATIONALS)
-        return r
-
-    def closure(self, s: frozenset[int]) -> frozenset[int]:
-        r = self._rank(s)
-        out = set(s)
-        for h in range(len(self._normals)):
-            if h not in out and self._rank(s | {h}) == r:
-                out.add(h)
-        return frozenset(out)
-
-    def join(self, x: frozenset[int], y: frozenset[int]) -> frozenset[int]:
-        key = (x, y) if sorted(x) <= sorted(y) else (y, x)
-        hit = self._join_cache.get(key)
-        if hit is None:
-            hit = self.closure(x | y)
-            self._join_cache[key] = hit
-        return hit
-
-    def is_modular(self, x: frozenset[int]) -> bool:
-        rx = self.rank_of[x]
-        for y in self.flats:
-            ry = self.rank_of[y]
-            if self.rank_of[self.join(x, y)] + self.rank_of[x & y] != rx + ry:
-                return False
-        return True
 
     def has_modular_chain(self) -> bool:
         """Maximal chain of modular flats, one per rank: the supersolvable test.

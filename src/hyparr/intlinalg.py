@@ -203,12 +203,6 @@ def identity_matrix(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def transpose(m: Sequence[Sequence[int]]) -> list[list[int]]:
-    if not m:
-        return []
-    return [list(col) for col in zip(*m)]
-
-
 def _validate(mat: Sequence[Sequence[int]]) -> int:
     widths = {len(r) for r in mat}
     if len(widths) > 1:

@@ -174,10 +174,8 @@ class IdealLattice:
         return self.ncols if self._hnf is None else self._hnf.rank
 
     def pivot_columns(self):
-        """The pivot columns, as a set or a set-like view; FULL's need no rows."""
-        if self.kind is IdealKind.FULL and self._source is not None:
-            return self._source.pivot_columns()
-        return range(self.ncols) if self.saturated else self.hnf.pivots.keys()
+        """FULL's pivot columns up to the rank; a row source needs no rows."""
+        return self.hnf.pivots.keys() if self._source is None else self._source.pivot_columns()
 
     def torsion(self) -> list[int]:
         """The invariant factors above 1, in divisibility order."""

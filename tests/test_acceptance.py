@@ -23,7 +23,6 @@ from hyparr.intlinalg import (
     RATIONALS,
     quotient_invariants,
     smith_normal_form,
-    transpose,
 )
 from hyparr.osalgebra import (
     IdealKind,
@@ -34,7 +33,7 @@ from hyparr.osalgebra import (
 )
 
 from test_intlinalg import cokernel_oracle_check, rand_matrix
-from helpers import FIXTURES
+from helpers import FIXTURES, transpose
 
 ACCEPT_FIELDS = [RATIONALS, FieldSpec(2), FieldSpec(3), FieldSpec(5)]
 

@@ -11,7 +11,7 @@ from hyparr.cli import _random_2generic_instances, parse_input
 from hyparr.errors import InputError
 from hyparr.graphs import chromatic_polynomial, connected_graph_reps, make_graph
 from hyparr.hypersolvable import classify
-from helpers import FIXTURES, THETA, boolean, coxeter_b
+from helpers import FIXTURES, THETA, boolean, closure, coxeter_b, echelon, is_modular
 
 K3 = make_graph(3, [(0, 1), (0, 2), (1, 2)])
 K4 = make_graph(4, list(itertools.combinations(range(4), 2)))
@@ -390,13 +390,14 @@ def test_modular_chain_boolean_and_k3():
 # ------------------------------------------- modular-coatom oracle vs definition
 
 
-def modular_chain_by_definition(lat):
+def modular_chain_by_definition(arr):
     """A maximal chain of flats that pass ``is_modular``, searched upwards."""
+    lat = arr.intersection_lattice()
     modular = {}
 
     def is_mod(f):
         if f not in modular:
-            modular[f] = lat.is_modular(f)
+            modular[f] = is_modular(arr, f, lat.rank_of)
         return modular[f]
 
     top = lat.rank_of[lat.flats[-1]]
@@ -441,7 +442,7 @@ def test_modular_chain_matches_definition_and_order():
     rng = random.Random(1990)
     seen = {True: 0, False: 0}
     for arr in modular_chain_inputs():
-        expected = modular_chain_by_definition(arr.intersection_lattice())
+        expected = modular_chain_by_definition(arr)
         assert arr.intersection_lattice().has_modular_chain() == expected, arr.normals
         assert shuffled(arr, rng).intersection_lattice().has_modular_chain() == expected
         seen[expected] += 1
@@ -485,7 +486,9 @@ def test_mobius_is_lazy_and_keeps_identities():
     classify(arr)
     betti = arr.betti_mobius()
     lat = arr.intersection_lattice()
-    assert not {"flats", "rank_of", "mobius"} & vars(lat).keys()
+    # no view is written, and no rank oracle state is kept
+    absent = {"flats", "rank_of", "mobius", "_normals", "_ranks", "_join_cache"}
+    assert not absent & vars(lat).keys()
     assert lat.rank_of == brute_force_flats(arr)
     assert lat.mobius == mobius_by_definition(lat)
     assert betti == [
@@ -657,19 +660,21 @@ def differential_inputs():
 
 
 def flats_by_closures(arr):
-    """The closure-per-candidate level build: flats in order, with ranks."""
-    n = arr.n
-    lat = arr.intersection_lattice()  # only for its closure oracle
-    levels = [{lat.closure(frozenset())}]
+    """The closure level build: flats in order, with ranks.
+
+    Each cover of a flat F is the closure of F + h for the first h in no
+    earlier cover; the covers of F meet only in F, so the closure tests
+    only the hyperplanes in no earlier cover.
+    """
+    levels = [{closure(arr, frozenset(), range(arr.n))}]
     while True:
         nxt = set()
         for flat in levels[-1]:
-            covered = set(flat)
-            for h in range(n):
-                if h not in covered:
-                    cover = lat.closure(flat | {h})
-                    nxt.add(cover)
-                    covered |= cover
+            left = [h for h in range(arr.n) if h not in flat]
+            while left:
+                cover = closure(arr, flat | {left[0]}, left)
+                nxt.add(cover)
+                left = [h for h in left if h not in cover]
         if not nxt:
             return [(f, r) for r, level in enumerate(levels) for f in sorted(level, key=sorted)]
         levels.append(nxt)
@@ -684,13 +689,22 @@ def mobius_by_definition(lat):
 
 
 def subset_scan(arr):
-    """Dependence of every subset of size <= rank + 1 by a fresh elimination."""
-    top = arr.subset_rank(range(arr.n))
-    return {
-        combo: arr.subset_rank(combo) < len(combo)
-        for size in range(top + 2)
-        for combo in itertools.combinations(range(arr.n), size)
-    }
+    """Dependence of every subset of size <= rank + 1 by elimination, by size
+    and then lexicographically: each subset's echelon is a copy of its
+    prefix's with one normal inserted."""
+    top = echelon(arr, range(arr.n)).rank
+    out = {(): False}
+    level = [((), echelon(arr, ()))]
+    for _ in range(top + 1):
+        nxt = []
+        for s, h in level:
+            for j in range(s[-1] + 1 if s else 0, arr.n):
+                t, e = s + (j,), h.copy()
+                e.insert(arr.normals[j])
+                out[t] = e.rank < len(t)
+                nxt.append((t, e))
+        level = nxt
+    return out
 
 
 def test_residual_routes_match_definitions():

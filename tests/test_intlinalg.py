@@ -25,9 +25,9 @@ from hyparr.intlinalg import (
     rank_over_field,
     smith_normal_form,
     snf_divisors,
-    transpose,
     xgcd,
 )
+from helpers import transpose
 
 
 # ---------------------------------------------------------------- oracles
