@@ -8,11 +8,17 @@ The matroid data comes from one exact step, ``_reduce``: an integer vector
 reduced by one more echelon row, fraction-free, kept primitive and
 sign-normalized.  The residuals of the hyperplanes after an independent
 set say which of them extend it; that fills a table of the independent
-sets by size.  The residuals modulo each atom group the others into the
-lines through it.  The intersection lattice is read off the table: the
-cover of a flat spanned by the independent set B through a hyperplane h
-is B + h and every x with B + h + x dependent.  Graphic arrangements
-remember their source graph for reporting.
+sets by size.  Two facts keep the table's frontier small: a hyperplane in
+the closure of a set's prefix lies in the closure of every set grown from
+it and closes no circuit with one, so it is dropped; and two hyperplanes
+outside cl(T) span the same flat over T iff their residuals modulo T are
+equal, so the sets of size rank - 1 and the bases are grown by comparing
+residuals and masks, with no residual step.  The residuals modulo each
+atom group the others into the lines through it.  The intersection
+lattice is read off the table: the cover of a flat spanned by the
+independent set B through a hyperplane h is B + h and every x with
+B + h + x dependent.  Graphic arrangements remember their source graph
+for reporting.
 """
 
 from __future__ import annotations
@@ -74,10 +80,20 @@ class Arrangement:
         self.source_graph = source_graph
         self._circuits: list[tuple[int, ...]] = []
         # _independent[k]: masks of the independent k-sets built so far;
-        # _frontier: the largest of them as (sorted set, mask, residuals of
-        # the hyperplanes after its maximum)
+        # _frontier: the largest of them, T, as (mask of T, mask of its
+        # circuit candidates, live).  The candidates are the h > max T in
+        # cl(T) but outside cl(T minus its maximum); live holds the
+        # h > max T outside cl(T), ascending.  Up to size rank - 2 live is
+        # a list of (bit of h, residual of h modulo span(T)); at size
+        # rank - 1 only closures are asked of it, so it is a mask, and a
+        # basis has none.  n >= 2 gives rank >= 2, as no two normals are
+        # proportional, so then the empty set lists its atoms as residuals
+        if self.n > 1:
+            live = [(1 << h, a) for h, a in enumerate(self._atoms)]
+        else:
+            live = (1 << self.n) - 1
         self._independent: list[set[int]] = [{0}]
-        self._frontier: list[tuple[tuple[int, ...], int, list]] = [((), 0, list(self._atoms))]
+        self._frontier: list[tuple[int, int, list | int]] = [(0, 0, live)]
         self._lattice = None
         # results of the higher layers' @memo functions, keyed by
         # (function, *arguments); nothing else reads or writes it
@@ -132,35 +148,73 @@ class Arrangement:
 
         Shared with ``is_dependent``, so never mutate it.  The table grows
         one size at a time and is kept for the arrangement's lifetime.
-        Each independent k-set T is reached once, from its sorted prefix,
-        carrying the residuals modulo span(T) of the hyperplanes h > max T.
-        T + h is independent iff h's
-        residual is nonzero, and a circuit iff it is zero and every k-subset
-        of T + h is in the table; the circuits of size k + 1 are recorded on
-        the way, in lexicographic order because the frontier stays sorted.
+        Each independent k-set T is reached once, from its sorted prefix P
+        = T minus its maximum, and carries only the hyperplanes h > max T
+        outside cl(P).  An h in cl(P) lies in the closure of every set
+        grown from T, and P + h holds a circuit, so h neither extends such
+        a set nor closes a circuit with one (Oxley, "Matroid Theory", 1.4).
+        Of the h carried, T + h is independent iff h is outside cl(T), that
+        is iff h's residual modulo span(T) is nonzero, and a circuit iff
+        every k-subset of T + h is in the table; the circuits of size k + 1
+        are recorded on the way, in lexicographic order because the
+        frontier stays sorted.  A set T + h of size rank - 1 carries no
+        residuals: for x outside cl(T), x lies in cl(T + h) iff the
+        primitive, sign-normalized residuals of x and h modulo span(T) are
+        equal, the test ``pair_closures`` makes.  With the bases, which
+        carry their circuit candidates as a mask, the last two sizes make
+        no residual step.
         """
         table = self._independent
+        rank = self.rank()
+        circuits = self._circuits
         while len(table) <= size:
+            k = len(table) - 1  # the size of the frontier's sets
             below = table[-1]
-            bases = len(table) == self.rank()  # the new sets extend no further
             grown: set[int] = set()
             frontier = []
-            for t, m, res in self._frontier:
-                start = self.n - len(res)
-                for j, v in enumerate(res):
-                    h = start + j
-                    if v is None:
-                        if all((m ^ 1 << x) | 1 << h in below for x in t):
-                            self._circuits.append(t + (h,))
-                        continue
-                    rest = res[j + 1 :]
-                    if bases:
-                        rest = [None] * len(rest)
+            for m, zeros, live in self._frontier:
+                while zeros:
+                    h = zeros & -zeros
+                    zeros ^= h
+                    c = m | h
+                    rest = m
+                    while rest:
+                        x = rest & -rest
+                        if c ^ x not in below:
+                            break
+                        rest ^= x
                     else:
-                        k = _pivot(v)
-                        rest = [None if x is None else _reduce(x, v, k) for x in rest]
-                    grown.add(m | 1 << h)
-                    frontier.append((t + (h,), m | 1 << h, rest))
+                        circuits.append(_indices(c))
+                if k < rank - 2:
+                    for j, (h, v) in enumerate(live):
+                        p = _pivot(v)
+                        fresh = 0
+                        rest = []
+                        for x, w in live[j + 1 :]:
+                            u = _reduce(w, v, p)
+                            if u is None:
+                                fresh |= x
+                            else:
+                                rest.append((x, u))
+                        grown.add(m | h)
+                        frontier.append((m | h, fresh, rest))
+                elif k == rank - 2:  # the children's closures by equal residuals
+                    groups: dict[Vector, int] = {}
+                    after = 0
+                    for h, v in live:
+                        groups[v] = groups.get(v, 0) | h
+                        after |= h
+                    for h, v in live:
+                        after ^= h
+                        same = groups[v] & after
+                        grown.add(m | h)
+                        frontier.append((m | h, same, after ^ same))
+                else:  # a child is a basis, so every later h is in its closure
+                    while live:
+                        h = live & -live
+                        live ^= h
+                        grown.add(m | h)
+                        frontier.append((m | h, live, 0))
             table.append(grown)
             self._frontier = frontier
         return table[size]

@@ -37,8 +37,8 @@ RANDOM_SIZE_BOUND = 12
 RANDOM_DIM_BOUND = 6
 # hyperplanes; admits K7 (21) and every fixture.  It limits n only: the
 # cost also grows with the rank.  24 general lines in the plane (rank 3)
-# take ~2.4 s and ~56 MiB; random rank-6 inputs (README) take ~8 s and
-# ~83 MiB at n = 20, and at n = 24 do not finish within 300 s
+# take ~1.4 s and ~55 MiB; random rank-6 inputs (README) take ~8-12 s and
+# ~73 MiB at n = 20, and at n = 24 do not finish within 300 s
 ANALYZE_SIZE_BOUND = 24
 
 

@@ -36,6 +36,7 @@ p+1 and p+2, and DECOMPOSABLE only in p+2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 
 from .arrangement import Arrangement, _indices, memo
@@ -62,13 +63,18 @@ class MuPresentation:
     p: int
     gr0_rank: int
     row_basis: list[tuple[int, int]]  # (index into the gr0 basis, hyperplane)
-    col_basis: list[str]
-    rows: list[dict[int, int]]  # one per row_basis entry; keys index col_basis
+    col_masks: list[int]  # the (p+2)-sets of the non-pivot columns, as int masks
+    rows: list[dict[int, int]]  # one per row_basis entry; keys index col_masks
+
+    @cached_property
+    def col_basis(self) -> list[str]:
+        """The column labels, each (p+2)-set's sorted tuple, written on first read."""
+        return [str(_indices(m)) for m in self.col_masks]
 
     @property
     def matrix(self) -> list[list[int]]:
-        """The dense len(row_basis) x len(col_basis) matrix, built on access."""
-        return densify(self.rows, len(self.col_basis))
+        """The dense len(row_basis) x len(col_masks) matrix, built on access."""
+        return densify(self.rows, len(self.col_masks))
 
 
 @dataclass
@@ -200,8 +206,7 @@ def mu_presentation(a: Arrangement) -> MuPresentation:
             row_basis.append((gidx, h))
 
     mons2 = list(col_of2)
-    col_basis = [str(_indices(mons2[j])) for j in nonpivot]
-    return MuPresentation(p, g0, row_basis, col_basis, rows)
+    return MuPresentation(p, g0, row_basis, [mons2[j] for j in nonpivot], rows)
 
 
 @memo
@@ -256,7 +261,7 @@ def torsion_and_rank_report(a: Arrangement) -> tuple[TorsionReport, dict]:
         raise InternalInvariantViolation(
             "torsion equivalence failed: "
             f"gr1 {gr1.torsion_factors}, Aplus {aplus.torsion_factors}, "
-            f"IND {ind.torsion_factors}; mu shape {len(pres.rows)} x {len(pres.col_basis)}"
+            f"IND {ind.torsion_factors}; mu shape {len(pres.rows)} x {len(pres.col_masks)}"
         )
 
     ha = hilbert(a, "A", RATIONALS).coefficients

@@ -143,7 +143,7 @@ def build_report(arr: Arrangement, cls: Classification, fields=None) -> tuple[di
         pres = mu_presentation(arr)
         doc["homotopy"] = {
             "p": pres.p,
-            "mu_shape": [len(pres.rows), len(pres.col_basis)],
+            "mu_shape": [len(pres.rows), len(pres.col_masks)],
             **homotopy_fields(arr),
         }
     return doc, qualified

@@ -40,6 +40,22 @@ def is_connected(g):
     return len(seen) == g.vertex_count
 
 
+def forest_rank(graph, s):
+    """Rank of the edge set s of a graph: touched vertices minus connected
+    components, by union-find on the edges alone."""
+    parent = {}
+
+    def find(x):
+        while parent.setdefault(x, x) != x:
+            x = parent[x]
+        return x
+
+    for i in s:
+        u, v = graph.edges[i]
+        parent[find(u)] = find(v)
+    return len(parent) - len({find(x) for x in parent})
+
+
 def transpose(m):
     return [list(col) for col in zip(*m)]
 

@@ -2,7 +2,8 @@
 
 import itertools
 import random
-from math import comb
+from collections import Counter
+from math import comb, factorial
 
 import pytest
 
@@ -11,7 +12,7 @@ from hyparr.cli import _random_2generic_instances, parse_input
 from hyparr.errors import InputError
 from hyparr.graphs import chromatic_polynomial, connected_graph_reps, make_graph
 from hyparr.hypersolvable import classify
-from helpers import FIXTURES, THETA, boolean, closure, coxeter_b, echelon, is_modular
+from helpers import FIXTURES, THETA, boolean, closure, coxeter_b, echelon, forest_rank, is_modular
 
 K3 = make_graph(3, [(0, 1), (0, 2), (1, 2)])
 K4 = make_graph(4, list(itertools.combinations(range(4), 2)))
@@ -138,21 +139,6 @@ def test_subset_rank():
     # every 4-element subset of C' = {x,y,z,t,H,P} is independent
     for combo in itertools.combinations([0, 1, 2, 3, 5, 6], 4):
         assert arr7.subset_rank(combo) == 4
-
-
-def forest_rank(graph, s):
-    """Touched vertices minus connected components (union-find)."""
-    parent = {}
-
-    def find(x):
-        while parent.setdefault(x, x) != x:
-            x = parent[x]
-        return x
-
-    for i in s:
-        u, v = graph.edges[i]
-        parent[find(u)] = find(v)
-    return len(parent) - len({find(x) for x in parent})
 
 
 def test_is_dependent_rejects_out_of_range_indices():
@@ -853,3 +839,54 @@ def test_single_dependence_query_does_not_grow_the_table():
     assert arr.is_dependent([0, 1, 5]) and not arr.is_dependent([0, 1, 2])
     assert not arr.is_dependent([0, 1, 2, 3, 4])
     assert len(arr._independent) == 4
+
+
+def test_k7_table_matches_closed_forms_and_forests():
+    # K7 is the densest graph analyze admits, so the table's last pass, over
+    # its 7^5 bases, runs here at its largest
+    k7 = make_graph(7, list(itertools.combinations(range(7), 2)))
+    arr = from_graph(k7)
+    assert len(arr._independent) == 1
+    circuits = arr.circuits()
+    # a k-cycle of K7: C(7, k) vertex sets, (k - 1)!/2 cycles through each
+    assert Counter(map(len, circuits)) == {
+        k: comb(7, k) * factorial(k - 1) // 2 for k in range(3, 8)
+    }
+    assert len(circuits) == 1172
+    assert circuits == sorted(circuits, key=lambda c: (len(c), c))
+    assert len(arr.independent_sets(6)) == 7**5  # Cayley's spanning-tree count
+    for k in range(6):
+        forests = {
+            sum(1 << e for e in s)
+            for s in itertools.combinations(range(arr.n), k)
+            if forest_rank(k7, s) == k
+        }
+        assert arr.independent_sets(k) == forests
+
+
+def test_last_table_sizes_make_no_residual_step(monkeypatch):
+    import hyparr.arrangement as arrangement
+
+    calls = 0
+    reduce = arrangement._reduce
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return reduce(*args)
+
+    _key, dim, normals = next(_random_2generic_instances(0, 12, 1))
+    k6 = from_graph(make_graph(6, list(itertools.combinations(range(6), 2))))
+    monkeypatch.setattr(arrangement, "_reduce", counted)
+    for arr in (k6, build(dim, normals)):
+        r = arr.rank()
+        assert r >= 3
+        calls = 0
+        arr.independent_sets(r - 2)
+        assert calls > 0
+        # the (r - 1)-sets read closures off equal residuals, and the bases
+        # and the circuits of size r + 1 off masks
+        calls = 0
+        arr.independent_sets(r + 1)
+        assert calls == 0
+        assert len(arr._independent) == r + 2

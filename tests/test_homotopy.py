@@ -1,5 +1,6 @@
 """Homotopy pipeline: gr0, the mu presentation, gr1, torsion equivalences."""
 
+import itertools
 import tracemalloc
 from math import comb
 
@@ -28,6 +29,7 @@ from hyparr.intlinalg import (
     snf_divisors,
 )
 from hyparr.osalgebra import IdealKind, IdealLattice, hilbert, ideal_lattice
+from hyparr.report import build_report
 from helpers import FIXTURES, THETA
 
 K3 = make_graph(3, [(0, 1), (0, 2), (1, 2)])
@@ -72,13 +74,18 @@ def test_gr0_requires_qualifying():
 
 
 def test_mu_shape_theta():
-    pres = mu_presentation(from_graph(THETA))
+    arr = from_graph(THETA)
+    doc, _ = build_report(arr, classify(arr))
+    pres = mu_presentation(arr)
+    # the report reads the column count; the labels are written on first read
+    assert doc["homotopy"]["mu_shape"] == [14, 35]
+    assert "col_basis" not in vars(pres)
     assert pres.p == 2
     assert pres.gr0_rank == 2
     assert len(pres.matrix) == 7 * 2  # |A| x gr0 rows
     assert [rb for rb in pres.row_basis] == [(g, h) for g in range(2) for h in range(7)]
     # no triangles: (Lambda/I_2)^4 = Lambda^4, C(7,4) = 35 columns
-    assert len(pres.col_basis) == 35
+    assert pres.col_basis == [str(c) for c in itertools.combinations(range(7), 4)]
     assert all(len(row) == 35 for row in pres.matrix)
 
 
@@ -233,6 +240,9 @@ def test_mu_rows_match_the_wedge_product():
         assert pres.row_basis == [(g, h) for g in range(pres.gr0_rank) for h in range(arr.n)]
         width = len(pres.col_basis)
         assert all(0 <= k < width and v for row in pres.rows for k, v in row.items())
+        quad2 = ideal_lattice(arr, IdealKind.QUADRATIC, pres.p + 2)
+        cols = itertools.combinations(range(arr.n), pres.p + 2)
+        assert pres.col_basis == [str(c) for j, c in enumerate(cols) if j not in quad2.hnf.pivots]
         assert pres.matrix == [[row.get(k, 0) for k in range(width)] for row in pres.rows]
         assert snf_divisors(pres.rows) == smith_normal_form(pres.matrix).divisors
 
