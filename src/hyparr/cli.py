@@ -173,7 +173,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_circuits(args) -> int:
     arr = parse_input(args.input, args.format)
-    cap = min(arr.rank() + 1, arr.n) if arr.n else 0
+    cap = min(arr.rank() + 1, arr.n)
     if args.size is not None:
         if args.size < 3:
             raise InputError(f"circuits have size >= 3, got {args.size}")

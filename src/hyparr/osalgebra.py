@@ -25,14 +25,16 @@ as an echelon basis whose pivot is the smallest column of its row:
   are unit-triangular and span Q^q exactly; otherwise the generators are
   eliminated.
 
-FULL and DECOMPOSABLE are known without rows.  FULL's rank is the count
-of pivots that the circuit walk claims.  Its basis is unit-triangular, so
-its invariant factors are 1, Lambda^q / I^q is free, and
+FULL and DECOMPOSABLE are known without rows, from the circuit walk that
+``_full_rows`` records once per degree.  FULL's rank is the count of its
+claimed and dependent pivots.  Its basis is unit-triangular, so it has no
+invariant factor above 1, Lambda^q / I^q is free, and
 I^q / (Lambda+ I)^q = Z^F0 / M: DECOMPOSABLE has rank
-rank I^q - |F0| + rank M, and its invariant factors are ones, then M's
-above 1.  Ranks, Hilbert coefficients, the r-table and Aplus read
-only these; the rows are written when ``IdealLattice.hnf`` is first read
-(by mu, IND coordinates, membership, the span check).  M is built with two
+rank I^q - |F0| + rank M, and its invariant factors above 1 are M's.
+Each ``IdealLattice`` holds that rank and torsion as plain fields, with a
+writer for its rows.  Ranks, Hilbert coefficients, the r-table and Aplus
+read only the fields; the writer runs when ``IdealLattice.hnf`` is first
+read (by mu, IND coordinates, membership, the span check).  M is built with two
 exact shortcuts, and only the FULL rows that its coordinates reach are
 written:
 
@@ -65,6 +67,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from math import comb, gcd
 
 from .arrangement import Arrangement, _mask, memo
@@ -135,47 +138,39 @@ class SpanCheckReport:
 class IdealLattice:
     """Echelon basis of one ideal in one degree, with lazy invariant factors.
 
-    ``hnf is None`` marks a saturated lattice (all of Z^ncols), with no
-    basis materialized: FULL and DECOMPOSABLE above the rank, where every
-    monomial is dependent, and QUADRATIC where H(Abar)_q = 0.
+    Plain fields: ``rank``, the invariant factors above 1 (``torsion()``),
+    and ``hnf``, the basis.  ``hnf is None`` with no ``write`` marks a
+    saturated lattice (all of Z^ncols), with no basis materialized: FULL
+    and DECOMPOSABLE above the rank, where every monomial is dependent, and
+    QUADRATIC where H(Abar)_q = 0.
 
-    FULL and DECOMPOSABLE up to the rank come from a row source that
-    knows the rank and invariant factors above 1 without rows, and FULL's
-    its pivot columns too (see the module docstring); ``hnf`` writes the
-    rows on first read and keeps them.  QUADRATIC comes with its rows.
+    FULL and DECOMPOSABLE up to the rank are built with their rank and
+    torsion known and a ``write`` callable instead of rows (see the module
+    docstring); the first read of ``hnf`` calls it and keeps the rows.
+    QUADRATIC comes with its rows, and its torsion is read off them.
     """
 
-    __slots__ = ("kind", "degree", "ncols", "_source", "_hnf", "_torsion")
+    __slots__ = ("kind", "degree", "ncols", "rank", "_torsion", "_write", "_hnf")
 
-    def __init__(self, kind: IdealKind, degree: int, ncols: int, rows):
-        """``rows`` is a SparseHermite, a row source, or None when saturated."""
+    def __init__(self, kind: IdealKind, degree: int, ncols: int, hnf: SparseHermite | None, *,
+                 rank: int | None = None, torsion: list[int] | None = None, write=None):
         self.kind = kind
         self.degree = degree
         self.ncols = ncols
-        if rows is None or isinstance(rows, SparseHermite):
-            self._source, self._hnf, self._torsion = None, rows, None
-        else:
-            self._source, self._hnf, self._torsion = rows, None, rows.torsion
+        self.rank = (ncols if hnf is None else hnf.rank) if rank is None else rank
+        self._torsion = torsion
+        self._write = write
+        self._hnf = hnf
 
     @property
     def saturated(self) -> bool:
-        return self._source is None and self._hnf is None
+        return self._hnf is None and self._write is None
 
     @property
     def hnf(self) -> SparseHermite | None:
-        if self._hnf is None and self._source is not None:
-            self._hnf = self._source.write()
+        if self._write is not None:
+            self._hnf, self._write = self._write(), None
         return self._hnf
-
-    @property
-    def rank(self) -> int:
-        if self._source is not None:
-            return self._source.rank
-        return self.ncols if self._hnf is None else self._hnf.rank
-
-    def pivot_columns(self):
-        """FULL's pivot columns up to the rank; a row source needs no rows."""
-        return self.hnf.pivots.keys() if self._source is None else self._source.pivot_columns()
 
     def torsion(self) -> list[int]:
         """The invariant factors above 1, in divisibility order."""
@@ -303,12 +298,12 @@ class _FullRows:
 
     ``dependent``: the columns of the dependent q-sets, whose rows are e_T;
     ``claims``: every other pivot T, in walk order, to the masks (S, C) of
-    its row e_S ^ delta(e_C).  Plain data only: a cached lattice that
-    referred to its arrangement would make a reference cycle.
+    its row e_S ^ delta(e_C).  Plain data only: it lives in the
+    arrangement's cache, and the FULL lattice keeps its ``write``, so a
+    reference to the arrangement would make a reference cycle.
     """
 
     __slots__ = ("degree", "col_of", "dependent", "claims")
-    torsion: list[int] = []
 
     def __init__(self, degree: int, col_of: dict[int, int], dependent: set[int],
                  claims: dict[int, tuple[int, int]]):
@@ -344,6 +339,7 @@ class _FullRows:
         return h
 
 
+@memo
 def _full_rows(a: Arrangement, q: int) -> _FullRows:
     """Unit-triangular basis of the degree-q Orlik-Solomon ideal, q <= rank.
 
@@ -358,7 +354,8 @@ def _full_rows(a: Arrangement, q: int) -> _FullRows:
     whose leading terms are the broken circuits (Bjorner 1982;
     Bjorner-Ziegler 1991), so there are C(n, q) - b_q rows, the rank of
     I^q, and the lattice is I^q itself.  The count is checked against the
-    Whitney numbers of the intersection lattice.
+    Whitney numbers of the intersection lattice.  FULL, DECOMPOSABLE's M and
+    the QUADRATIC pivot check all read this one record.
     """
     n = a.n
     col_of = _columns(a, q)
@@ -382,52 +379,27 @@ def _full_rows(a: Arrangement, q: int) -> _FullRows:
     return full
 
 
-class _DecomposableRows:
-    """(Lambda+ I)^q read off M: I^q / (Lambda+ I)^q = Z^F0 / M.
-
-    The rows are the FULL rows b_t outside F0 plus sum m_t b_t for each
-    row m of M.
-    """
-
-    __slots__ = ("full", "f0", "m", "torsion")
-
-    def __init__(self, full: IdealLattice, f0: set[int], m: SparseHermite):
-        self.full = full
-        self.f0 = f0
-        self.m = m
-        self.torsion = [d for d in m.divisors() if d > 1]
-
-    @property
-    def rank(self) -> int:
-        return self.full.rank - len(self.f0) + self.m.rank
-
-    def write(self) -> SparseHermite:
-        fp = self.full.hnf.pivots
-        h = SparseHermite()
-        # the rows are shared with the full basis; no caller mutates lattice rows
-        h.pivots = {t: row for t, row in fp.items() if t not in self.f0}
-        for lead, mrow in self.m.pivots.items():
-            acc: dict[int, int] = {}
-            for t, v in mrow.items():
-                _row_submul(acc, fp[t], -v)
-            h.pivots[lead] = acc
-        return h
-
-
-def _decomposable_rows(a: Arrangement, q: int, full: IdealLattice) -> _DecomposableRows:
+def _decomposable_basis(full: IdealLattice, f0: set[int], m: SparseHermite) -> SparseHermite:
     """Echelon basis of (Lambda+ I)^q = Lambda^1 ^ I^(q-1), found inside I^q.
 
     Every row of the full basis lies in Lambda+ I except the rows
     delta(e_C) with |C| = q+1 (F0): monomials e_T are e_(T-C) ^ e_c ^
     delta(e_C) up to sign.  Lambda+ I in degree q is spanned by those rows
     and the products e_S ^ delta(e_C) with S nonempty, so it is the span
-    of the rows outside F0 plus the combinations sum m_t b_t (t in F0)
+    of the rows b_t outside F0 plus the combinations sum m_t b_t (t in F0)
     with m in the lattice M of F0-coordinates of those products.  Only M,
     on |F0| columns, needs an elimination (``_f0_lattice``).
     """
-    src = full._source
-    f0 = src.f0()
-    return _DecomposableRows(full, f0, _f0_lattice(a, q, src, f0))
+    fp = full.hnf.pivots
+    h = SparseHermite()
+    # the rows are shared with the full basis; no caller mutates lattice rows
+    h.pivots = {t: row for t, row in fp.items() if t not in f0}
+    for lead, mrow in m.pivots.items():
+        acc: dict[int, int] = {}
+        for t, v in mrow.items():
+            _row_submul(acc, fp[t], -v)
+        h.pivots[lead] = acc
+    return h
 
 
 def _f0_lattice(a: Arrangement, q: int, full: _FullRows, f0: set[int]) -> SparseHermite:
@@ -532,7 +504,7 @@ def _quadratic_basis(a: Arrangement, q: int) -> SparseHermite | None:
                     h.pivots[t] = {col_of[u]: sign * c for u, c in prod.items()}
                     break
     if q <= a.rank():
-        if not h.pivots.keys() <= ideal_lattice(a, IdealKind.FULL, q).pivot_columns():
+        if not h.pivots.keys() <= _full_rows(a, q).pivot_columns():
             raise InternalInvariantViolation(
                 f"quadratic ideal in degree {q} has a pivot that I^{q} lacks, but Q lies in I"
             )
@@ -546,14 +518,18 @@ def ideal_lattice(a: Arrangement, kind: IdealKind, q: int) -> IdealLattice:
     ncols = comb(a.n, q)
     if kind is not IdealKind.QUADRATIC and a.rank() < q:
         # every q-subset is dependent, so the monomials already fill Z^ncols
-        rows = None
-    elif kind is IdealKind.FULL:
-        rows = _full_rows(a, q)
-    elif kind is IdealKind.DECOMPOSABLE:
-        rows = _decomposable_rows(a, q, ideal_lattice(a, IdealKind.FULL, q))
-    else:
-        rows = _quadratic_basis(a, q)
-    return IdealLattice(kind, q, ncols, rows)
+        return IdealLattice(kind, q, ncols, None)
+    if kind is IdealKind.QUADRATIC:
+        return IdealLattice(kind, q, ncols, _quadratic_basis(a, q))
+    full = _full_rows(a, q)
+    if kind is IdealKind.FULL:
+        return IdealLattice(kind, q, ncols, None, rank=full.rank, torsion=[], write=full.write)
+    # I^q / (Lambda+ I)^q = Z^F0 / M
+    f0 = full.f0()
+    m = _f0_lattice(a, q, full, f0)
+    write = partial(_decomposable_basis, ideal_lattice(a, IdealKind.FULL, q), f0, m)
+    return IdealLattice(kind, q, ncols, None, rank=full.rank - len(f0) + m.rank,
+                        torsion=[d for d in m.divisors() if d > 1], write=write)
 
 
 def _times(m: int, g: dict[int, int]) -> dict[int, int]:

@@ -57,8 +57,12 @@ def emit_report(doc: dict, path: str | None = None) -> bytes:
 
     payload = canonical_json_bytes(doc)
     if path is None or path == "-":
-        sys.stdout.buffer.write(payload)
-        sys.stdout.buffer.flush()
+        out = getattr(sys.stdout, "buffer", None)
+        if out is None:  # a text stream, such as a redirect_stdout target
+            sys.stdout.write(payload.decode("utf-8"))
+        else:
+            out.write(payload)
+            out.flush()
     else:
         from pathlib import Path
 
@@ -110,7 +114,7 @@ def classification_block(cls: Classification) -> dict:
 
 def build_report(arr: Arrangement, cls: Classification, fields=None) -> tuple[dict, bool]:
     """Full report document; second value says whether homotopy blocks ran."""
-    cap = min(arr.rank() + 1, arr.n) if arr.n else 0
+    cap = min(arr.rank() + 1, arr.n)
     by_size: dict[str, int] = {}
     chordless: dict[str, int] = {}
     if cap >= 3:

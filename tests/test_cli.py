@@ -192,6 +192,30 @@ def test_the_module_entry_point_exits_with_mains_code(capsys, tmp_path):
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: "), proc.stderr
 
 
+def test_analyze_json_to_a_text_stdout_writes_the_same_text(tmp_path):
+    # redirect_stdout swaps in a stream with no byte buffer
+    import contextlib
+    import io
+
+    theta = str(FIXTURES / "theta6.graph")
+    out = tmp_path / "theta.json"
+    assert main(["analyze", "--input", theta, "--json", str(out)]) == 0
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        code = main(["analyze", "--input", theta, "--json", "-"])
+    assert code == 0
+    assert text.getvalue() == out.read_bytes().decode("utf-8")
+
+
+def test_header_only_arrangement(capsys, tmp_path):
+    # no hyperplanes: rank 0 and no circuit of any size
+    src = write(tmp_path, "empty.arr", "arrangement 3\n")
+    assert main(["analyze", "--input", src]) == 2
+    capsys.readouterr()
+    assert main(["circuits", "--input", src]) == 0
+    assert capsys.readouterr().out == ""
+
+
 def test_analyze_deterministic(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -497,6 +521,10 @@ def test_search_jobs_same_bytes(tmp_path):
     for out, jobs in ((serial, "1"), (pooled, "2")):
         assert main(["search", "--family", "graphic", "--max-size", "5",
                      "--jobs", jobs, "--output", str(out)]) == 0
+    assert serial.read_bytes() and serial.read_bytes() == pooled.read_bytes()
+    for out, jobs in ((serial, "1"), (pooled, "2")):
+        assert main(["search", "--family", "random2g", "--max-size", "8", "--seed", "3",
+                     "--count", "4", "--jobs", jobs, "--output", str(out)]) == 0
     assert serial.read_bytes() and serial.read_bytes() == pooled.read_bytes()
 
 

@@ -446,14 +446,18 @@ def test_a_search_line_builds_lattices_only_in_degrees_p1_and_p2(monkeypatch):
     import hyparr.osalgebra as osalgebra
     from hyparr.report import build_report, homotopy_fields
 
+    # FULL is counted where its claims are recorded and DECOMPOSABLE where M
+    # is built: the memoized _full_rows is read by all three kinds
     built: dict[str, list[int]] = {}
-    for name in ("_full_rows", "_decomposable_rows", "_quadratic_basis"):
-        def counted(a, q, *rest, real=getattr(osalgebra, name), name=name):
-            built[name].append(q)
-            return real(a, q, *rest)
+    for label, owner, name in (("_FullRows", osalgebra._FullRows, "__init__"),
+                               ("_f0_lattice", osalgebra, "_f0_lattice"),
+                               ("_quadratic_basis", osalgebra, "_quadratic_basis")):
+        def counted(first, q, *rest, real=getattr(owner, name), label=label):
+            built[label].append(q)
+            return real(first, q, *rest)
 
-        monkeypatch.setattr(osalgebra, name, counted)
-        built[name] = []
+        monkeypatch.setattr(owner, name, counted)
+        built[label] = []
 
     def degrees(name):
         got = sorted(built[name])
@@ -472,15 +476,15 @@ def test_a_search_line_builds_lattices_only_in_degrees_p1_and_p2(monkeypatch):
         assert cls.hypersolvable and not cls.supersolvable, arr.normals
         p, r = cls.p, cls.r
         homotopy_fields(arr)
-        assert degrees("_full_rows") == [q for q in (p + 1, p + 2) if q <= r], arr.normals
-        assert degrees("_decomposable_rows") == [q for q in (p + 2,) if q <= r], arr.normals
+        assert degrees("_FullRows") == [q for q in (p + 1, p + 2) if q <= r], arr.normals
+        assert degrees("_f0_lattice") == [q for q in (p + 2,) if q <= r], arr.normals
         assert degrees("_quadratic_basis") == [p + 1, p + 2], arr.normals
         top += p + 2 > r
 
         arr = make()
         build_report(arr, classify(arr))
-        assert degrees("_full_rows") == list(range(r + 1)), arr.normals
-        assert degrees("_decomposable_rows") == list(range(r + 1)), arr.normals
+        assert degrees("_FullRows") == list(range(r + 1)), arr.normals
+        assert degrees("_f0_lattice") == list(range(r + 1)), arr.normals
         degrees("_quadratic_basis")
     # lines with p+2 at most the rank, and lines with p+2 above it
     assert 0 < top < len(makers), top

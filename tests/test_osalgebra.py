@@ -482,6 +482,8 @@ def test_lattices_leave_no_process_lifetime_tables():
 
 
 def test_direct_full_and_decomposable_match_elimination():
+    import hyparr.osalgebra as osalgebra
+
     f0_seen = m_seen = 0
     for arr in direct_construction_inputs():
         for q in range(1, arr.rank() + 1):
@@ -489,7 +491,8 @@ def test_direct_full_and_decomposable_match_elimination():
                 lat = ideal_lattice(arr, kind, q)
                 oracle = elimination_oracle(arr, kind, q)
                 if kind is IdealKind.FULL:  # the claimed pivots are the written ones
-                    assert lat.pivot_columns() == lat.hnf.pivots.keys(), (arr.normals, q)
+                    claimed = osalgebra._full_rows(arr, q).pivot_columns()
+                    assert claimed == lat.hnf.pivots.keys(), (arr.normals, q)
                 assert lat.rank == oracle.rank, (arr.normals, kind, q)
                 assert sorted(lat.divisors()) == sorted(oracle.divisors())
                 assert all(oracle.contains(row) for row in lat.hnf.rows_sorted())
@@ -811,17 +814,15 @@ def test_quadratic_pivot_that_the_full_lattice_lacks_raises(monkeypatch):
     import hyparr.osalgebra as osalgebra
 
     arr = from_graph(make_graph(4, itertools.combinations(range(4), 2)))
-    real = osalgebra.ideal_lattice
+    real = osalgebra._full_rows
 
-    def thinned(a, kind, q):
-        lat = real(a, kind, q)
-        if kind is not IdealKind.FULL:
-            return lat
-        h = lat.hnf.copy()
-        del h.pivots[min(h.pivots)]
-        return IdealLattice(kind, q, lat.ncols, h)
+    def thinned(a, q):
+        full = real(a, q)
+        claims = dict(full.claims)
+        del claims[min(claims)]
+        return osalgebra._FullRows(q, full.col_of, full.dependent, claims)
 
-    monkeypatch.setattr(osalgebra, "ideal_lattice", thinned)
+    monkeypatch.setattr(osalgebra, "_full_rows", thinned)
     with pytest.raises(InternalInvariantViolation, match=r"has a pivot that I\^2 lacks"):
         osalgebra._quadratic_basis(arr, 2)
 
