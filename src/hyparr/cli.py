@@ -162,9 +162,7 @@ def cmd_analyze(args) -> int:
             emit_report(doc, args.json)
         except OSError as exc:
             raise InputError(f"cannot write {args.json}: {exc}") from exc
-        if args.json != "-":
-            sys.stdout.write(render_text(doc))
-    else:
+    if args.json != "-":
         sys.stdout.write(render_text(doc))
     elapsed_ms = int((time.monotonic() - started) * 1000)
     print(f"elapsed_ms={elapsed_ms}", file=sys.stderr)
@@ -207,27 +205,33 @@ def _instance_line(key: str, arr: Arrangement) -> dict:
     return line
 
 
-def _graphic_worker(payload: tuple[int, int, tuple]) -> str | None:
-    n, key, edges = payload
-    arr = from_graph(Graph(n, edges))
+def _graphic_worker(payload: tuple[int, Graph]) -> str | None:
+    key, g = payload
+    arr = from_graph(g)
     # cheap filter first: hypersolvable iff a series exists, and within that
     # class supersolvable iff the series length equals the rank; the full
     # classification with all its cross-checks runs only on the keepers
     series = composition_series(arr)
     if series is None or series.length == arr.rank():
         return None
+    n = g.vertex_count
     bits = n * (n - 1) // 2
     line = _instance_line(f"g{n}-{key:0{(bits + 3) // 4}x}", arr)
     return canonical_json_line(line)
 
 
-def _random_worker(payload: tuple[str, int, tuple]) -> str:
-    key, dim, normals = payload
-    return canonical_json_line(_instance_line(key, build(dim, normals)))
+def _random_worker(payload: tuple[str, Arrangement]) -> str:
+    key, arr = payload
+    return canonical_json_line(_instance_line(key, arr))
 
 
 def _random_2generic_instances(seed: int, max_size: int, count: int):
-    """Seeded stream of dependent 2-generic integer arrangements."""
+    """Seeded stream of (key, arrangement), dependent 2-generic integer inputs.
+
+    The rank-2 closure test is ``c_and_genericity``'s 2-generic, and the
+    line reuses its closures; the line grows the independent-set table, so
+    a ``--jobs N`` payload carries none.
+    """
     rng = Random(seed)
     idx = 0
     while idx < count:
@@ -254,7 +258,7 @@ def _random_2generic_instances(seed: int, max_size: int, count: int):
             m.bit_count() > 2 for row in arr.pair_closures() for m in row
         ):  # independent, or c = 3: a rank-2 closure holds three hyperplanes
             continue
-        yield (f"r2g-s{seed}-i{idx}", dim, tuple(normals))
+        yield (f"r2g-s{seed}-i{idx}", arr)
         idx += 1
 
 
@@ -288,15 +292,12 @@ def cmd_search(args) -> int:
     with fh:
         if graphic:
             payloads = [
-                (g.vertex_count, form, g.edges)
-                for form, g in _keyed_connected_graph_reps(args.max_size)
-                if g.edges
+                (form, g) for form, g in _keyed_connected_graph_reps(args.max_size) if g.edges
             ]
             worker = _graphic_worker
         else:
-            payloads = list(
-                _random_2generic_instances(args.seed, args.max_size, args.count)
-            )
+            # a stream, not a list: under --jobs 1 a line's arrangement dies once written
+            payloads = _random_2generic_instances(args.seed, args.max_size, args.count)
             worker = _random_worker
 
         if jobs == 1:

@@ -288,7 +288,7 @@ def torsion_and_rank_report(a: Arrangement) -> tuple[TorsionReport, dict]:
         "r_p2": r_p2,
     }
     if a.source_graph is not None:
-        chordless = len(a.chordless_circuits(p + 3)) if p + 3 <= n else 0
+        chordless = len(a.chordless_circuits(p + 3))  # none past n
         if r_p2 != chordless:
             raise InternalInvariantViolation(
                 f"graphic count mismatch: r_{d2} = {r_p2} but "

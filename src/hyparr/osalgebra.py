@@ -220,8 +220,7 @@ def _unit_rows(a: Arrangement, kind: IdealKind, q: int):
     n = a.n
     r = a.rank()
     if kind is IdealKind.QUADRATIC:
-        three = [c for c in a.circuits(min(3, n)) if len(c) == 3]
-        masks = [_mask(c) for c in three]
+        masks = [_mask(c) for c in a.circuits(min(3, n))]
         for tm, col in _columns(a, q).items():
             if any(cm & tm == cm for cm in masks):
                 yield {col: 1}
@@ -268,23 +267,19 @@ def _spread_row(s: int, circ: int, col_of: dict[int, int]) -> dict[int, int]:
 
 
 def _spread_rows(a: Arrangement, kind: IdealKind, q: int):
-    """The generators e_S ^ delta(e_C) with S disjoint from C."""
+    """The generators e_S ^ delta(e_C) with S disjoint from C, by |C|."""
     n = a.n
     if kind is IdealKind.QUADRATIC:
-        sizes = [3] if q >= 2 else []
+        top = min(3, q + 1)  # |S| = q+1-|C| >= 0
     elif kind is IdealKind.DECOMPOSABLE:
-        sizes = range(3, min(q, n) + 1)  # |S| = q+1-|C| >= 1
+        top = q  # |S| = q+1-|C| >= 1
     else:
-        sizes = range(3, min(q + 1, n) + 1)
-    by_size: dict[int, list[int]] = {}
-    if sizes:
-        for c in a.circuits(min(max(sizes), n)):
-            by_size.setdefault(len(c), []).append(_mask(c))
+        top = q + 1
     col_of = _columns(a, q)
-    for size in sizes:
-        for circ in by_size.get(size, ()):
-            for s in _subsets(n, circ, q + 1 - size):
-                yield _spread_row(s, circ, col_of)
+    for c in a.circuits(min(top, n)):  # by size, then lexicographically
+        circ = _mask(c)
+        for s in _subsets(n, circ, q + 1 - len(c)):
+            yield _spread_row(s, circ, col_of)
 
 
 def _generator_stream(a: Arrangement, kind: IdealKind, q: int):
@@ -625,10 +620,9 @@ def _abar_groebner(a: Arrangement) -> tuple[tuple[int, ...], list[tuple[int, dic
     """
     n = a.n
     gens = []
-    for c in a.circuits(min(3, n)):
-        if len(c) == 3:
-            hi, mid, lo = (1 << n - 1 - x for x in c)
-            gens.append({hi | mid: 1, hi | lo: -1, mid | lo: 1})  # delta(e_C), relabelled
+    for c in a.circuits(min(3, n)):  # a circuit has at least 3 members
+        hi, mid, lo = (1 << n - 1 - x for x in c)
+        gens.append({hi | mid: 1, hi | lo: -1, mid | lo: 1})  # delta(e_C), relabelled
     if not gens:
         return tuple(comb(n, q) for q in range(n + 1)), []  # I_2 = 0
     betti = a.betti_mobius()
@@ -818,7 +812,7 @@ def chordless_span_check(a: Arrangement, q: int, field: FieldSpec) -> SpanCheckR
     if q < 2:
         raise InputError(f"span check needs degree >= 2, got {q}")
     _check_degree(a, q)
-    chordless = a.chordless_circuits(q + 1) if q + 1 >= 3 and q + 1 <= a.n else []
+    chordless = a.chordless_circuits(q + 1)  # none past n
     if q > a.rank():
         # the target (I / Lambda+ I)^q is the zero group, and a circuit has
         # at most rank + 1 members, so there is no chordless one either

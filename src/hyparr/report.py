@@ -18,7 +18,7 @@ from .graphs import Graph
 from .homotopy import gr1_invariants, mu_presentation, torsion_and_rank_report
 from .hypersolvable import Classification
 from .intlinalg import RATIONALS
-from .osalgebra import hilbert, r_table
+from .osalgebra import QUOTIENTS, hilbert, r_table
 
 TOOL_VERSION = "0.1.0"
 _SAFE_INT = 2**53
@@ -117,14 +117,13 @@ def build_report(arr: Arrangement, cls: Classification, fields=None) -> tuple[di
     cap = min(arr.rank() + 1, arr.n)
     by_size: dict[str, int] = {}
     chordless: dict[str, int] = {}
-    if cap >= 3:
-        for c in arr.circuits(cap):
-            key = str(len(c))
-            by_size[key] = by_size.get(key, 0) + 1
-        for size in range(3, cap + 1):
-            found = arr.chordless_circuits(size)
-            if found:
-                chordless[str(size)] = len(found)
+    for c in arr.circuits(cap):
+        key = str(len(c))
+        by_size[key] = by_size.get(key, 0) + 1
+    for size in range(3, cap + 1):
+        found = arr.chordless_circuits(size)
+        if found:
+            chordless[str(size)] = len(found)
     table = r_table(arr, fields)
     doc: dict = {
         "version": TOOL_VERSION,
@@ -132,10 +131,7 @@ def build_report(arr: Arrangement, cls: Classification, fields=None) -> tuple[di
         "classification": classification_block(cls),
         "betti": arr.betti_mobius(),
         "circuits": {"by_size": by_size, "chordless_by_size": chordless},
-        "hilbert": {
-            q: list(hilbert(arr, q, RATIONALS).coefficients)
-            for q in ("A", "Abar", "Aplus", "IND")
-        },
+        "hilbert": {q: list(hilbert(arr, q, RATIONALS).coefficients) for q in QUOTIENTS},
         "r_table": {
             "characteristics": [f.characteristic for f in table.fields],
             "values_by_degree": [list(v) for v in table.values],
@@ -199,7 +195,7 @@ def render_text(doc: dict) -> str:
     lines.append(f"betti: {doc['betti']}")
     lines.append(f"circuits by size: {doc['circuits']['by_size']}")
     lines.append(f"chordless by size: {doc['circuits']['chordless_by_size']}")
-    for q in ("A", "Abar", "Aplus", "IND"):
+    for q in QUOTIENTS:
         lines.append(f"hilbert {q}: {doc['hilbert'][q]}")
     rt = doc["r_table"]
     lines.append(f"r-table characteristics: {rt['characteristics']}")

@@ -4,6 +4,7 @@ import itertools
 from pathlib import Path
 
 from hyparr.arrangement import build
+from hyparr.cli import _random_2generic_instances
 from hyparr.graphs import make_graph
 from hyparr.intlinalg import SparseHermite
 
@@ -22,6 +23,16 @@ def coxeter_b(d):
         for s in (1, -1):
             normals.append([1 if k == i else s if k == j else 0 for k in range(d)])
     return build(d, normals)
+
+
+def random2g(seed, max_size, count):
+    """The search's random 2-generic stream as (key, dim, normals) triples.
+
+    The stream's arrangements carry the tables their filter grew, so a test
+    that counts work on a fresh table builds its own from these.
+    """
+    for key, arr in _random_2generic_instances(seed, max_size, count):
+        yield key, arr.ambient_dim, arr.normals
 
 
 def is_connected(g):

@@ -8,11 +8,13 @@ from math import comb, factorial
 import pytest
 
 from hyparr.arrangement import Arrangement, _indices, build, from_graph
-from hyparr.cli import _random_2generic_instances, parse_input
+from hyparr.cli import parse_input
 from hyparr.errors import InputError
 from hyparr.graphs import chromatic_polynomial, connected_graph_reps, make_graph
 from hyparr.hypersolvable import classify
-from helpers import FIXTURES, THETA, boolean, closure, coxeter_b, echelon, forest_rank, is_modular
+from helpers import (
+    FIXTURES, THETA, boolean, closure, coxeter_b, echelon, forest_rank, is_modular, random2g,
+)
 
 K3 = make_graph(3, [(0, 1), (0, 2), (1, 2)])
 K4 = make_graph(4, list(itertools.combinations(range(4), 2)))
@@ -410,7 +412,7 @@ def modular_chain_inputs():
     yield from (parse_input(str(p)) for p in sorted(FIXTURES.iterdir()))
     yield coxeter_b(3)
     yield coxeter_b(4)
-    for _key, dim, normals in _random_2generic_instances(7, 8, 12):
+    for _key, dim, normals in random2g(7, 8, 12):
         yield build(dim, normals)
     # small entries give many collinear triples, unlike the 2-generic family
     rng = random.Random(2718)
@@ -467,7 +469,7 @@ def test_mobius_is_lazy_and_keeps_identities():
             assert lat.mobius[f] * (-1) ** lat.rank_of[f] > 0
         assert "mobius" in vars(lat)
     # the classification and the Whitney numbers read the mask levels alone
-    _key, dim, normals = next(_random_2generic_instances(0, 8, 1))
+    _key, dim, normals = next(random2g(0, 8, 1))
     arr = build(dim, normals)
     classify(arr)
     betti = arr.betti_mobius()
@@ -636,7 +638,7 @@ def differential_inputs():
         gen = random.Random(1933)
         for _ in range(40):
             yield small_entries(gen, gen.choice((3, 4, 5)), gen.randint(4, 10))
-        for _key, dim, normals in _random_2generic_instances(11, 10, 10):
+        for _key, dim, normals in random2g(11, 10, 10):
             yield build(dim, normals)
 
     rng = random.Random(1964)
@@ -794,7 +796,7 @@ def test_cover_scan_looks_up_only_what_a_small_circuit_reaches(monkeypatch):
     assert unfiltered_lookups(arr.intersection_lattice()) > 0
     inputs = [parse_input(str(p)) for p in sorted(FIXTURES.iterdir())]
     inputs += [from_graph(make_graph(k, list(itertools.combinations(range(k), 2)))) for k in (4, 5, 6)]
-    inputs += [build(dim, normals) for _key, dim, normals in _random_2generic_instances(0, 12, 50)]
+    inputs += [build(dim, normals) for _key, dim, normals in random2g(0, 12, 50)]
     made = bound = 0
     for arr in inputs:
         lookups = 0
@@ -816,7 +818,7 @@ def test_pair_closures_reduce_each_line_once(monkeypatch):
         calls += 1
         return reduce(*args)
 
-    _key, dim, normals = next(_random_2generic_instances(0, 12, 1))
+    _key, dim, normals = next(random2g(0, 12, 1))
     generic = build(dim, normals)
     d4 = parse_input(str(FIXTURES / "d4.arr"))
     monkeypatch.setattr(arrangement, "_reduce", counted)
@@ -875,7 +877,7 @@ def test_last_table_sizes_make_no_residual_step(monkeypatch):
         calls += 1
         return reduce(*args)
 
-    _key, dim, normals = next(_random_2generic_instances(0, 12, 1))
+    _key, dim, normals = next(random2g(0, 12, 1))
     k6 = from_graph(make_graph(6, list(itertools.combinations(range(6), 2))))
     monkeypatch.setattr(arrangement, "_reduce", counted)
     for arr in (k6, build(dim, normals)):

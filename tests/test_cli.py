@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from hyparr.arrangement import build, from_graph
-from hyparr.cli import _random_2generic_instances, main, parse_input
+from hyparr.cli import main, parse_input
 from hyparr.errors import InputError, InternalInvariantViolation, PreconditionError
 from hyparr.exterior import ExteriorElement
 from hyparr.graphs import make_graph
@@ -22,7 +22,7 @@ from hyparr.osalgebra import (
     r_table,
 )
 from hyparr.report import canonical_json_bytes, canonical_json_line
-from helpers import FIXTURES, THETA
+from helpers import FIXTURES, THETA, random2g
 
 
 def write(tmp_path, name, text):
@@ -480,8 +480,48 @@ def test_random2g_search_bytes_are_frozen(tmp_path):
 def test_random2g_stream_is_frozen(seed, digest):
     # recorded when every candidate normal was checked by building an
     # Arrangement and c = 3 was read off circuits(3)
-    stream = list(_random_2generic_instances(seed, 12, 50))
+    stream = list(random2g(seed, 12, 50))
     assert hashlib.sha256(repr(stream).encode()).hexdigest() == digest
+
+
+def test_search_jobs1_holds_one_random2g_arrangement_at_a_time(monkeypatch, tmp_path):
+    # the stream feeds map() itself, so a line's arrangement and its caches
+    # are freed once the line is written; a list would keep them all alive
+    import weakref
+
+    import hyparr.cli as cli
+
+    stream, worker = cli._random_2generic_instances, cli._random_worker
+    refs, alive = [], []
+
+    def tracked(*args):
+        for key, arr in stream(*args):
+            refs.append(weakref.ref(arr))
+            yield key, arr
+
+    def counting(payload):
+        alive.append(sum(ref() is not None for ref in refs))
+        return worker(payload)
+
+    monkeypatch.setattr(cli, "_random_2generic_instances", tracked)
+    monkeypatch.setattr(cli, "_random_worker", counting)
+    assert main(["search", "--family", "random2g", "--max-size", "8", "--count", "5",
+                 "--jobs", "1", "--output", str(tmp_path / "r.jsonl")]) == 0
+    assert alive == [1] * 5
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_random2g_stream_keeps_only_what_c_and_genericity_calls_2generic(seed):
+    # the stream's rank-2 closure test and the value each line reports as
+    # two_generic must agree, and the kept payload carries no grown table
+    import pickle
+
+    from hyparr.cli import _random_2generic_instances
+
+    for _key, arr in _random_2generic_instances(seed, 12, 30):
+        payload = pickle.loads(pickle.dumps(arr))
+        assert len(payload._independent) == 1
+        assert payload.c_and_genericity()[1] is True
 
 
 @pytest.mark.parametrize("max_size", [4, 5, 6])

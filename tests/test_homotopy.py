@@ -7,8 +7,8 @@ from math import comb
 import pytest
 
 from hyparr import homotopy
-from hyparr.arrangement import build, from_graph
-from hyparr.cli import _random_2generic_instances, parse_input
+from hyparr.arrangement import Arrangement, build, from_graph
+from hyparr.cli import parse_input
 from hyparr.errors import InternalInvariantViolation, PreconditionError
 from hyparr.exterior import ExteriorElement, basis, generator, wedge
 from hyparr.graphs import connected_graph_reps, make_graph
@@ -30,7 +30,7 @@ from hyparr.intlinalg import (
 )
 from hyparr.osalgebra import IdealKind, IdealLattice, hilbert, ideal_lattice
 from hyparr.report import build_report
-from helpers import FIXTURES, THETA
+from helpers import FIXTURES, THETA, random2g
 
 K3 = make_graph(3, [(0, 1), (0, 2), (1, 2)])
 TWOGEN6 = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
@@ -168,7 +168,7 @@ def mu_inputs():
     instances, whose integer normals are not graphic."""
     fixtures = [parse_input(str(p)) for p in sorted(FIXTURES.iterdir())]
     randoms = (
-        build(dim, normals) for _key, dim, normals in _random_2generic_instances(5, 12, 60)
+        build(dim, normals) for _key, dim, normals in random2g(5, 12, 60)
     )
     picked = [arr for arr in randoms if qualifying(arr)][:10]
     assert len(picked) == 10
@@ -258,7 +258,7 @@ def test_mu_reduces_only_by_a_quadratic_lattice_with_pivots(monkeypatch):
 
     monkeypatch.setattr(SparseHermite, "reduce", counted)
     # I_2 = 0 in degree p+2 on a 2-generic line: each product is its own class
-    lines = (build(dim, normals) for _key, dim, normals in _random_2generic_instances(0, 12, 50))
+    lines = (build(dim, normals) for _key, dim, normals in random2g(0, 12, 50))
     arr = next(line for line in lines if qualifying(line))
     assert ideal_lattice(arr, IdealKind.QUADRATIC, classify(arr).p + 2).rank == 0
     pres = mu_presentation(arr)
@@ -315,7 +315,7 @@ def test_quadratic_pivots_are_units_inside_the_full_pivots():
     corpus = [from_graph(g) for g in connected_graph_reps(6)]
     corpus += [parse_input(str(p)) for p in sorted(FIXTURES.iterdir())]
     randoms = [
-        build(dim, normals) for _key, dim, normals in _random_2generic_instances(5, 12, 20)
+        build(dim, normals) for _key, dim, normals in random2g(5, 12, 20)
     ]
     checked = 0
     for arr in corpus + randoms:
@@ -398,6 +398,62 @@ def test_mu_rejects_a_quadratic_lattice_off_the_groebner_series(monkeypatch, cap
     assert message in capsys.readouterr().err
 
 
+def _gr0_plus_one(monkeypatch):
+    real = homotopy.gr0_rank
+    monkeypatch.setattr(homotopy, "gr0_rank", lambda a: real(a) + 1)
+
+
+def _a_series_read_as_abar(monkeypatch):
+    real = homotopy.hilbert
+    monkeypatch.setattr(
+        homotopy, "hilbert", lambda a, q, field: real(a, "Abar" if q == "A" else q, field)
+    )
+
+
+def _free_rank_plus_one(monkeypatch, attr, kind=None):
+    real = getattr(homotopy, attr)
+
+    def fake(a, *args):
+        inv = real(a, *args)
+        if kind is not None and args[0] != kind:
+            return inv
+        return AbelianInvariants(inv.free_rank + 1, inv.torsion_factors)
+
+    monkeypatch.setattr(homotopy, attr, fake)
+
+
+def _one_chordless_circuit_too_many(monkeypatch):
+    real = Arrangement.chordless_circuits
+    monkeypatch.setattr(
+        Arrangement, "chordless_circuits", lambda a, size: real(a, size) + [tuple(range(size))]
+    )
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (_a_series_read_as_abar, "gr0 rank must be positive by the definition of p, got 0"),
+        (_gr0_plus_one, "gr0 rank 3 from Hilbert data but lattice basis has 2"),
+        (lambda mp: _free_rank_plus_one(mp, "gr1_invariants"),
+         "rank bookkeeping broke: 7 != 7*2 - 8"),
+        (lambda mp: _free_rank_plus_one(mp, "quotient_invariants_graded", "IND"),
+         "closed rank formula mismatch: SNF gives 6, Hilbert expression gives 7"),
+        (_one_chordless_circuit_too_many,
+         "graphic count mismatch: r_4 = 0 but 1 chordless (5)-circuits"),
+    ],
+    ids=["gr0-positive", "gr0-basis", "rank-bookkeeping", "closed-rank-formula",
+         "graphic-chordless-count"],
+)
+def test_homotopy_theorem_checks_catch_a_mutant(monkeypatch, capsys, mutate, message):
+    # each check is a theorem, so only a deliberately broken layer trips it;
+    # main parses a fresh theta6, so no cached result hides the mutant
+    from hyparr.cli import main
+
+    mutate(monkeypatch)
+    assert main(["analyze", "--input", str(FIXTURES / "theta6.graph")]) == 3
+    assert message in capsys.readouterr().err
+
+
 def test_quadratic_bases_are_built_only_where_read(monkeypatch, tmp_path):
     # analyze reads H(Abar) off the Groebner basis; QUADRATIC bases are
     # built for mu alone, in degrees p+1 and p+2 of a qualifying input
@@ -467,7 +523,7 @@ def test_a_search_line_builds_lattices_only_in_degrees_p1_and_p2(monkeypatch):
     makers = [lambda f=f: parse_input(str(FIXTURES / f))
               for f in ("theta6.graph", "twogen6.arr", "twogen7.arr")]
     makers += [lambda dim=dim, normals=normals: build(dim, normals)
-               for _key, dim, normals in _random_2generic_instances(0, 12, 8)]
+               for _key, dim, normals in random2g(0, 12, 8)]
     top = 0
     for make in makers:
         arr = make()  # a fresh arrangement: nothing cached

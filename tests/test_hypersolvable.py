@@ -9,7 +9,6 @@ import random
 import pytest
 
 from hyparr.arrangement import _indices, _mask, build, from_graph
-from hyparr.cli import _random_2generic_instances
 from hyparr.errors import InputError
 from hyparr.graphs import connected_graph_reps, is_chordal, make_graph
 from hyparr.hypersolvable import (
@@ -25,7 +24,7 @@ from hyparr.hypersolvable import (
 from hyparr.homotopy import mu_presentation
 from hyparr.intlinalg import RATIONALS
 from hyparr.osalgebra import IdealKind, hilbert, ideal_lattice
-from helpers import FIXTURES, THETA, boolean, coxeter_b
+from helpers import FIXTURES, THETA, boolean, coxeter_b, random2g
 
 K3 = make_graph(3, [(0, 1), (0, 2), (1, 2)])
 TWOGEN6 = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
@@ -143,7 +142,7 @@ def test_series_d4_none():
 def series_inputs():
     """Graphs on 6 and (every 8th) 7 vertices, fixtures, B3, B4, seeded
     {-1,0,1} and random2g inputs, each also with its hyperplanes shuffled."""
-    from hyparr.cli import _random_2generic_instances, parse_input
+    from hyparr.cli import parse_input
 
     def base():
         yield from (from_graph(g) for g in connected_graph_reps(6))
@@ -160,7 +159,7 @@ def series_inputs():
                 if any(v) and tuple(-x for x in v) not in normals:
                     normals.append(v)
             yield build(dim, normals)
-        for _, dim, normals in _random_2generic_instances(5, 8, 10):
+        for _, dim, normals in random2g(5, 8, 10):
             yield build(dim, normals)
 
     rng = random.Random(1998)
@@ -431,7 +430,7 @@ def test_classify_leaves_no_cyclic_garbage():
     # the series search, the extension growth and the modular-chain search
     # recurse through module-level helpers, so nothing they build waits for
     # the cyclic collector
-    (_key, dim, normals), = _random_2generic_instances(0, 12, 1)
+    (_key, dim, normals), = random2g(0, 12, 1)
     gc.collect()
     gc.disable()
     try:
@@ -448,6 +447,47 @@ def test_classify_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize(
+    "fixture, message",
+    [
+        ("d4.arr", "modular chain exists but no composition series was found"),
+        ("theta6.graph",
+         "supersolvable oracles disagree: hilbert equality False, modular chain True"),
+    ],
+)
+def test_supersolvability_oracles_catch_a_negated_modular_chain(
+    monkeypatch, capsys, fixture, message
+):
+    # d4 has no composition series and theta6 has one but no modular chain,
+    # so a negated chain test contradicts the other oracle on each
+    from hyparr.arrangement import IntersectionLattice
+    from hyparr.cli import main
+
+    real = IntersectionLattice.has_modular_chain
+    monkeypatch.setattr(IntersectionLattice, "has_modular_chain", lambda lat: not real(lat))
+    assert main(["analyze", "--input", str(FIXTURES / fixture)]) == 3
+    assert message in capsys.readouterr().err
+
+
+def test_classify_catches_a_wrong_exponent_product(monkeypatch, capsys):
+    import hyparr.hypersolvable as hypersolvable
+    from hyparr.cli import main
+
+    real = hypersolvable._exponent_product
+
+    def fake(exponents, upto):
+        product = real(exponents, upto)
+        product[1] += 1
+        return product
+
+    monkeypatch.setattr(hypersolvable, "_exponent_product", fake)
+    assert main(["analyze", "--input", str(FIXTURES / "theta6.graph")]) == 3
+    # theta6 has no three hyperplanes on a line, so H(Abar) is (1 + t)^7
+    message = ("exponent product [1, 8, 21, 35, 35, 21, 7, 1] != "
+               "quadratic Hilbert [1, 7, 21, 35, 35, 21, 7, 1]")
+    assert message in capsys.readouterr().err
 
 
 # ---------------------------------------------------------- memo rule

@@ -32,7 +32,7 @@ from hyparr.osalgebra import (
     quotient_invariants_graded,
     r_table,
 )
-from helpers import FIXTURES, THETA, boolean, coxeter_b
+from helpers import FIXTURES, THETA, boolean, coxeter_b, random2g
 
 K3 = make_graph(3, [(0, 1), (0, 2), (1, 2)])
 TWOGEN6 = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
@@ -190,11 +190,11 @@ def test_r2_field_independent_everywhere():
 def test_aplus_and_ind_share_torsion():
     # the full basis is unit-triangular, so Lambda/I is free and the r-table
     # may read its torsion primes off Aplus alone
-    from hyparr.cli import _random_2generic_instances, parse_input
+    from hyparr.cli import parse_input
 
     arrs = [parse_input(str(p)) for p in sorted(FIXTURES.iterdir())]
     arrs += [from_graph(g) for g in connected_graph_reps(6)]
-    arrs += [build(dim, normals) for _, dim, normals in _random_2generic_instances(5, 10, 20)]
+    arrs += [build(dim, normals) for _, dim, normals in random2g(5, 10, 20)]
     pairs = 0
     for arr in arrs:
         for q in range(2, min(arr.rank(), arr.n) + 1):
